@@ -1365,7 +1365,7 @@ void BM_ChannelPushPop(benchmark::State& state) {
     channel.push_scp({}, 0);
     for (int i = 0; i < 1000; ++i) channel.push_mem(entry, i);
     channel.push_segment_end({}, 1000, 1001);
-    while (!channel.empty()) benchmark::DoNotOptimize(channel.pop(2000));
+    while (!channel.empty()) benchmark::DoNotOptimize(channel.pop_front(2000));
   }
   state.SetItemsProcessed(state.iterations() * 1002);
 }

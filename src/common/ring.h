@@ -1,12 +1,15 @@
 // Growable power-of-two ring buffer (SPSC queue storage).
 //
 // std::deque pays a block-map indirection and an allocation every few dozen
-// elements; the DBC channels push/pop one StreamItem per logged memory access,
-// which made deque traffic a visible slice of simulator time. The ring keeps a
-// contiguous power-of-two array indexed with a mask, growing (rarely) by
-// doubling when a DMA spill pushes occupancy past the allocated capacity.
+// elements; the DBC channels push and pop one 32-byte slot per logged memory
+// access, and the fused publish/replay paths move whole runs of slots at a
+// time. The ring keeps a contiguous power-of-two array indexed with a mask,
+// so a run is at most two contiguous pieces (append / copy_out), and grows
+// (rarely) by doubling when a DMA spill pushes occupancy past the allocated
+// capacity.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <vector>
@@ -27,21 +30,9 @@ class Ring {
   std::size_t size() const { return count_; }
   std::size_t capacity() const { return buf_.size(); }
 
-  T& front() {
-    FLEX_DCHECK(count_ > 0);
-    return buf_[head_];
-  }
   const T& front() const {
     FLEX_DCHECK(count_ > 0);
     return buf_[head_];
-  }
-  T& back() {
-    FLEX_DCHECK(count_ > 0);
-    return buf_[(head_ + count_ - 1) & mask_];
-  }
-  const T& back() const {
-    FLEX_DCHECK(count_ > 0);
-    return buf_[(head_ + count_ - 1) & mask_];
   }
 
   /// Indexed access relative to the front (0 = oldest element).
@@ -54,33 +45,38 @@ class Ring {
     return buf_[(head_ + i) & mask_];
   }
 
-  /// Append a freshly value-initialised element and return it.
-  T& emplace_back() {
+  void push_back(const T& value) {
     if (count_ == buf_.size()) [[unlikely]] grow();
-    T& slot = buf_[(head_ + count_) & mask_];
-    slot = T{};
+    buf_[(head_ + count_) & mask_] = value;
     ++count_;
-    return slot;
   }
 
-  /// Append WITHOUT re-initialising the slot: the returned element holds
-  /// whatever a previously popped element left there. Callers must overwrite
-  /// every field a consumer can observe. Exists because the hot DBC push
-  /// (one kMem StreamItem per logged memory access) otherwise spends most of
-  /// its time zeroing a ~300-byte ArchState that kMem entries never read.
-  T& emplace_back_raw() {
-    if (count_ == buf_.size()) [[unlikely]] grow();
-    T& slot = buf_[(head_ + count_) & mask_];
-    ++count_;
-    return slot;
+  /// Append `n` elements from `src` in order: at most two contiguous copies.
+  void append(const T* src, std::size_t n) {
+    while (count_ + n > buf_.size()) [[unlikely]] grow();
+    const std::size_t tail = (head_ + count_) & mask_;
+    const std::size_t first = std::min(n, buf_.size() - tail);
+    std::copy(src, src + first, buf_.data() + tail);
+    std::copy(src + first, src + n, buf_.data());
+    count_ += n;
   }
 
-  void push_back(const T& value) { emplace_back() = value; }
+  /// Copy elements [from, from + n) (front-relative) to `dst`.
+  void copy_out(std::size_t from, std::size_t n, T* dst) const {
+    FLEX_DCHECK(from + n <= count_);
+    const std::size_t start = (head_ + from) & mask_;
+    const std::size_t first = std::min(n, buf_.size() - start);
+    std::copy(buf_.data() + start, buf_.data() + start + first, dst);
+    std::copy(buf_.data(), buf_.data() + (n - first), dst + first);
+  }
 
-  void pop_front() {
-    FLEX_DCHECK(count_ > 0);
-    head_ = (head_ + 1) & mask_;
-    --count_;
+  void pop_front() { pop_front(1); }
+
+  /// Drop the `n` oldest elements.
+  void pop_front(std::size_t n) {
+    FLEX_DCHECK(n <= count_);
+    head_ = (head_ + n) & mask_;
+    count_ -= n;
   }
 
   void clear() {
@@ -91,7 +87,7 @@ class Ring {
  private:
   void grow() {
     std::vector<T> next(buf_.size() * 2);
-    for (std::size_t i = 0; i < count_; ++i) next[i] = buf_[(head_ + i) & mask_];
+    copy_out(0, count_, next.data());
     buf_ = std::move(next);
     mask_ = buf_.size() - 1;
     head_ = 0;

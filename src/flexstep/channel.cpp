@@ -7,51 +7,27 @@
 
 namespace flexstep::fs {
 
-namespace {
-
-void serialize_item(io::ArchiveWriter& ar, const StreamItem& item) {
-  ar.put_u8(static_cast<u8>(item.kind));
-  ar.put_varint(item.seq);
-  ar.put_varint(item.visible_at);
-  ar.put_u8(static_cast<u8>(item.mem.kind));
-  ar.put_u8(item.mem.bytes);
-  ar.put_u64(item.mem.addr);
-  ar.put_u64(item.mem.data);
-  ar.put_u64(item.state.pc);
-  for (u64 r : item.state.regs) ar.put_u64(r);
-  ar.put_varint(item.inst_count);
-}
-
-StreamItem deserialize_item(io::ArchiveReader& ar) {
-  StreamItem item;
-  const u8 kind = ar.take_u8();
-  if (ar.ok() && kind > static_cast<u8>(StreamItem::Kind::kSegmentEnd)) {
-    ar.fail(io::ArchiveStatus::kMalformed, "stream item kind out of domain");
-  }
-  item.kind = static_cast<StreamItem::Kind>(kind);
-  item.seq = ar.take_varint();
-  item.visible_at = ar.take_varint();
-  const u8 mem_kind = ar.take_u8();
-  if (ar.ok() && mem_kind > static_cast<u8>(MemEntryKind::kAmoStore)) {
-    ar.fail(io::ArchiveStatus::kMalformed, "MAL entry kind out of domain");
-  }
-  item.mem.kind = static_cast<MemEntryKind>(mem_kind);
-  item.mem.bytes = ar.take_u8();
-  item.mem.addr = ar.take_u64();
-  item.mem.data = ar.take_u64();
-  item.state.pc = ar.take_u64();
-  for (u64& r : item.state.regs) r = ar.take_u64();
-  item.inst_count = ar.take_varint();
-  return item;
-}
-
-}  // namespace
-
 void Channel::Snapshot::serialize(io::ArchiveWriter& ar) const {
+  static const Checkpoint kNoCheckpoint{};
   ar.put_varint(main_id);
   ar.put_varint(checker_id);
   ar.put_varint(items.size());
-  for (const StreamItem& item : items) serialize_item(ar, item);
+  std::size_t next_checkpoint = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const Slot& slot = items[i];
+    const bool is_mem = slot.kind < kSlotScp;
+    const Checkpoint& ckpt = is_mem ? kNoCheckpoint : checkpoints[next_checkpoint++];
+    ar.put_u8(static_cast<u8>(slot_item_kind(slot.kind)));
+    ar.put_varint(next_seq - items.size() + i);
+    ar.put_varint(slot.cycle);
+    ar.put_u8(is_mem ? slot.kind : 0);
+    ar.put_u8(slot.bytes);
+    ar.put_u64(slot.addr);
+    ar.put_u64(slot.data);
+    ar.put_u64(ckpt.state.pc);
+    for (u64 r : ckpt.state.regs) ar.put_u64(r);
+    ar.put_varint(ckpt.inst_count);
+  }
   ar.put_varint(segments.size());
   for (const SegmentMeta& seg : segments) {
     ar.put_varint(seg.inst_count);
@@ -76,13 +52,45 @@ void Channel::Snapshot::serialize(io::ArchiveWriter& ar) const {
 
 void Channel::Snapshot::deserialize(io::ArchiveReader& ar) {
   items.clear();
+  checkpoints.clear();
   segments.clear();
   fault.reset();
   main_id = static_cast<CoreId>(ar.take_varint());
   checker_id = static_cast<CoreId>(ar.take_varint());
   const u64 item_count = ar.take_count(1 + 1 + 1 + 1 + 16 + 8 + 256 + 1);
+  u64 first_seq = 0;
+  bool seqs_contiguous = true;
   for (u64 i = 0; ar.ok() && i < item_count; ++i) {
-    items.push_back(deserialize_item(ar));
+    const u8 kind = ar.take_u8();
+    if (ar.ok() && kind > static_cast<u8>(StreamItem::Kind::kSegmentEnd)) {
+      ar.fail(io::ArchiveStatus::kMalformed, "stream item kind out of domain");
+    }
+    const u64 seq = ar.take_varint();
+    if (i == 0) first_seq = seq;
+    seqs_contiguous = seqs_contiguous && seq == first_seq + i;
+    Slot slot;
+    slot.cycle = ar.take_varint();
+    const u8 mem_kind = ar.take_u8();
+    if (ar.ok() && mem_kind > static_cast<u8>(MemEntryKind::kAmoStore)) {
+      ar.fail(io::ArchiveStatus::kMalformed, "MAL entry kind out of domain");
+    }
+    slot.bytes = ar.take_u8();
+    slot.addr = ar.take_u64();
+    slot.data = ar.take_u64();
+    Checkpoint ckpt;
+    ckpt.state.pc = ar.take_u64();
+    for (u64& r : ckpt.state.regs) r = ar.take_u64();
+    ckpt.inst_count = ar.take_varint();
+    if (kind == static_cast<u8>(StreamItem::Kind::kMem)) {
+      slot.kind = mem_kind;
+    } else {
+      // A checkpoint's MAL fields are zero on the wire and not kept.
+      const u8 tag =
+          kind == static_cast<u8>(StreamItem::Kind::kScp) ? kSlotScp : kSlotSegmentEnd;
+      slot = Slot{tag, 0, 0, 0, slot.cycle};
+      checkpoints.push_back(ckpt);
+    }
+    items.push_back(slot);
   }
   const u64 seg_count = ar.take_count(3);
   for (u64 i = 0; ar.ok() && i < seg_count; ++i) {
@@ -93,6 +101,13 @@ void Channel::Snapshot::deserialize(io::ArchiveReader& ar) {
     segments.push_back(seg);
   }
   next_seq = ar.take_varint();
+  // Item seqs are implied by queue position: they must run contiguously up
+  // to next_seq - 1.
+  if (ar.ok() && !items.empty() &&
+      (!seqs_contiguous || next_seq < items.size() ||
+       first_seq != next_seq - items.size())) {
+    ar.fail(io::ArchiveStatus::kMalformed, "stream item seqs not contiguous up to next_seq");
+  }
   last_popped_seq = ar.take_varint();
   last_pop_cycle = ar.take_varint();
   closed = ar.take_bool();
@@ -114,7 +129,7 @@ void Channel::Snapshot::deserialize(io::ArchiveReader& ar) {
 }
 
 bool Channel::producer_can_push(u32 entries) const {
-  if (items_.size() + entries <= config_.channel_capacity) return true;
+  if (slots_.size() + entries <= config_.channel_capacity) return true;
   // DMA-spill rule: while the checker has no complete segment to chew on,
   // stalling the producer could never be relieved — spill instead.
   return segments_.empty();
@@ -122,33 +137,30 @@ bool Channel::producer_can_push(u32 entries) const {
 
 u64 Channel::producer_headroom_entries() const {
   if (segments_.empty()) return ~u64{0};
-  const u64 occupancy = items_.size();
+  const u64 occupancy = slots_.size();
   return occupancy < config_.channel_capacity ? config_.channel_capacity - occupancy
                                               : 0;
 }
 
-StreamItem& Channel::push_raw(StreamItem::Kind kind, Cycle now) {
+u64 Channel::push_checkpoint(u8 tag, const arch::ArchState& state, u64 inst_count,
+                             Cycle now) {
   FLEX_CHECK_MSG(!closed_, "push on closed channel");
-  StreamItem& item = items_.emplace_back();
-  item.kind = kind;
-  item.seq = next_seq_++;
-  item.visible_at = now + config_.channel_latency;
-  max_occupancy_ = std::max<u64>(max_occupancy_, items_.size());
-  return item;
+  slots_.push_back(Slot{tag, 0, 0, checkpoints_popped_ + checkpoints_.size(), now});
+  checkpoints_.push_back({state, inst_count});
+  max_occupancy_ = std::max<u64>(max_occupancy_, slots_.size());
+  return next_seq_++;
 }
 
 void Channel::push_scp(const arch::ArchState& scp, Cycle now) {
-  push_raw(StreamItem::Kind::kScp, now).state = scp;
+  push_checkpoint(kSlotScp, scp, 0, now);
 }
 
 void Channel::push_segment_end(const arch::ArchState& ecp, u64 inst_count, Cycle now) {
-  StreamItem& item = push_raw(StreamItem::Kind::kSegmentEnd, now);
-  item.state = ecp;
-  item.inst_count = inst_count;
-  segments_.push_back({inst_count, item.visible_at, item.seq});
+  const u64 seq = push_checkpoint(kSlotSegmentEnd, ecp, inst_count, now);
+  segments_.push_back({inst_count, now + config_.channel_latency, seq});
   // A fault injected into a then-open segment resolves against this boundary.
   if (fault_.has_value() && fault_->segment_end_seq == kUnresolvedSegmentEnd) {
-    fault_->segment_end_seq = item.seq;
+    fault_->segment_end_seq = seq;
   }
 }
 
@@ -165,64 +177,83 @@ u64 Channel::front_segment_ic() const {
   return segments_.front().inst_count;
 }
 
-StreamItem Channel::pop(Cycle now) {
-  FLEX_CHECK_MSG(!items_.empty(), "pop on empty channel");
-  StreamItem item = items_.front();
-  items_.pop_front();
-  last_popped_seq_ = item.seq;
-  last_pop_cycle_ = now;
-  if (item.kind == StreamItem::Kind::kSegmentEnd) {
-    FLEX_CHECK(!segments_.empty());
-    segments_.pop_front();
+StreamItem Channel::item(std::size_t index) const {
+  const Slot& slot = slots_[index];
+  StreamItem out;
+  out.kind = slot_item_kind(slot.kind);
+  out.seq = seq_at(index);
+  out.visible_at = slot.cycle + config_.channel_latency;
+  if (out.kind == StreamItem::Kind::kMem) {
+    out.mem = mem_at(index);
+  } else {
+    const Checkpoint& ckpt = checkpoint_at(index);
+    out.state = ckpt.state;
+    out.inst_count = ckpt.inst_count;
   }
-  return item;
+  return out;
+}
+
+StreamItem::Kind Channel::pop_front(Cycle now) {
+  FLEX_CHECK_MSG(!slots_.empty(), "pop on empty channel");
+  const u8 tag = slots_.front().kind;
+  last_popped_seq_ = seq_at(0);
+  last_pop_cycle_ = now;
+  slots_.pop_front();
+  if (tag >= kSlotScp) {
+    checkpoints_.pop_front();
+    ++checkpoints_popped_;
+    if (tag == kSlotSegmentEnd) {
+      FLEX_CHECK(!segments_.empty());
+      segments_.pop_front();
+    }
+  }
+  return slot_item_kind(tag);
 }
 
 void Channel::consume_front(u64 count, Cycle now) {
-  FLEX_CHECK_MSG(count <= items_.size(), "consume_front past queue end");
-  for (u64 i = 0; i < count; ++i) {
-    FLEX_CHECK(items_.front().kind == StreamItem::Kind::kMem);
-    last_popped_seq_ = items_.front().seq;
-    items_.pop_front();
-  }
-  if (count > 0) last_pop_cycle_ = now;
+  FLEX_CHECK_MSG(count <= slots_.size(), "consume_front past queue end");
+  if (count == 0) return;
+  for (u64 i = 0; i < count; ++i) FLEX_CHECK(slots_[i].kind < kSlotScp);
+  last_popped_seq_ = seq_at(count - 1);
+  last_pop_cycle_ = now;
+  slots_.pop_front(count);
 }
 
 std::optional<InjectedFault> Channel::corrupt_item(std::size_t index, Rng& rng,
                                                    Cycle now) {
-  StreamItem& item = items_[index];
-
   InjectedFault fault;
-  fault.seq = item.seq;
+  fault.seq = seq_at(index);
   fault.injected_at = now;
-  fault.item_kind = item.kind;
+  fault.item_kind = kind_at(index);
 
-  switch (item.kind) {
+  switch (fault.item_kind) {
     case StreamItem::Kind::kMem: {
+      Slot& slot = slots_[index];
       // Corrupt address (low 32 bits — stays in the plausible address range)
       // or data with equal probability.
       if (rng.next_bool(0.5)) {
         fault.bit = static_cast<u8>(rng.next_below(32));
-        item.mem.addr ^= u64{1} << fault.bit;
+        slot.addr ^= u64{1} << fault.bit;
       } else {
-        const u32 width_bits = item.mem.bytes == 0 ? 64 : item.mem.bytes * 8;
+        const u32 width_bits = slot.bytes == 0 ? 64 : slot.bytes * 8;
         fault.bit = static_cast<u8>(rng.next_below(width_bits));
-        item.mem.data ^= u64{1} << fault.bit;
+        slot.data ^= u64{1} << fault.bit;
       }
       break;
     }
     case StreamItem::Kind::kScp:
     case StreamItem::Kind::kSegmentEnd: {
+      arch::ArchState& state = checkpoints_[checkpoint_index(index)].state;
       // Corrupt one architectural word: a register (x1..x31) or the PC.
       const u64 which = rng.next_below(32);
       if (which == 0) {
         // PC corruption restricted to bits 2..17: a misaligned or wildly
         // out-of-range PC would be caught trivially by the fetch stage.
         fault.bit = static_cast<u8>(2 + rng.next_below(16));
-        item.state.pc ^= u64{1} << fault.bit;
+        state.pc ^= u64{1} << fault.bit;
       } else {
         fault.bit = static_cast<u8>(rng.next_below(64));
-        item.state.regs[which] ^= u64{1} << fault.bit;
+        state.regs[which] ^= u64{1} << fault.bit;
       }
       break;
     }
@@ -232,9 +263,9 @@ std::optional<InjectedFault> Channel::corrupt_item(std::size_t index, Rng& rng,
   // undetected-fault resolution by the campaign driver). When the segment is
   // still open, push_segment_end() fills it in later.
   fault.segment_end_seq = kUnresolvedSegmentEnd;
-  for (std::size_t i = index; i < items_.size(); ++i) {
-    if (items_[i].kind == StreamItem::Kind::kSegmentEnd) {
-      fault.segment_end_seq = items_[i].seq;
+  for (std::size_t i = index; i < slots_.size(); ++i) {
+    if (slots_[i].kind == kSlotSegmentEnd) {
+      fault.segment_end_seq = seq_at(i);
       break;
     }
   }
@@ -243,8 +274,8 @@ std::optional<InjectedFault> Channel::corrupt_item(std::size_t index, Rng& rng,
 }
 
 u64 Channel::entry_bit_count(std::size_t index) const {
-  FLEX_CHECK(index < items_.size());
-  switch (items_[index].kind) {
+  FLEX_CHECK(index < slots_.size());
+  switch (kind_at(index)) {
     case StreamItem::Kind::kMem:
       return 128;  // addr | data
     case StreamItem::Kind::kScp:
@@ -256,30 +287,24 @@ u64 Channel::entry_bit_count(std::size_t index) const {
 }
 
 void Channel::flip_entry_bit(std::size_t index, u64 bit) {
-  FLEX_CHECK(index < items_.size());
-  StreamItem& item = items_[index];
   FLEX_CHECK(bit < entry_bit_count(index));
-  switch (item.kind) {
-    case StreamItem::Kind::kMem:
-      if (bit < 64) {
-        item.mem.addr ^= u64{1} << bit;
-      } else {
-        item.mem.data ^= u64{1} << (bit - 64);
-      }
-      return;
-    case StreamItem::Kind::kSegmentEnd:
-      if (bit >= 64 + 31 * 64) {
-        item.inst_count ^= u64{1} << (bit - (64 + 31 * 64));
-        return;
-      }
-      [[fallthrough]];
-    case StreamItem::Kind::kScp:
-      if (bit < 64) {
-        item.state.pc ^= u64{1} << bit;
-      } else {
-        item.state.regs[1 + (bit - 64) / 64] ^= u64{1} << (bit % 64);
-      }
-      return;
+  const StreamItem::Kind kind = kind_at(index);
+  if (kind == StreamItem::Kind::kMem) {
+    Slot& slot = slots_[index];
+    if (bit < 64) {
+      slot.addr ^= u64{1} << bit;
+    } else {
+      slot.data ^= u64{1} << (bit - 64);
+    }
+    return;
+  }
+  Checkpoint& ckpt = checkpoints_[checkpoint_index(index)];
+  if (bit >= 64 + 31 * 64) {
+    ckpt.inst_count ^= u64{1} << (bit - (64 + 31 * 64));  // SegmentEnd only
+  } else if (bit < 64) {
+    ckpt.state.pc ^= u64{1} << bit;
+  } else {
+    ckpt.state.regs[1 + (bit - 64) / 64] ^= u64{1} << (bit % 64);
   }
 }
 
@@ -299,12 +324,16 @@ void Channel::flip_segment_meta_bit(std::size_t index, u64 bit) {
 void Channel::save(Snapshot& out) const {
   out.main_id = main_id_;
   out.checker_id = checker_id_;
-  out.items.clear();
-  out.items.reserve(items_.size());
-  for (std::size_t i = 0; i < items_.size(); ++i) out.items.push_back(items_[i]);
-  out.segments.clear();
-  out.segments.reserve(segments_.size());
-  for (std::size_t i = 0; i < segments_.size(); ++i) out.segments.push_back(segments_[i]);
+  out.items.resize(slots_.size());
+  slots_.copy_out(0, slots_.size(), out.items.data());
+  for (Slot& slot : out.items) {
+    slot.cycle += config_.channel_latency;
+    if (slot.kind >= kSlotScp) slot = Slot{slot.kind, 0, 0, 0, slot.cycle};
+  }
+  out.checkpoints.resize(checkpoints_.size());
+  checkpoints_.copy_out(0, checkpoints_.size(), out.checkpoints.data());
+  out.segments.resize(segments_.size());
+  segments_.copy_out(0, segments_.size(), out.segments.data());
   out.next_seq = next_seq_;
   out.last_popped_seq = last_popped_seq_;
   out.last_pop_cycle = last_pop_cycle_;
@@ -317,10 +346,20 @@ void Channel::save(Snapshot& out) const {
 void Channel::restore(const Snapshot& snapshot) {
   FLEX_CHECK_MSG(snapshot.main_id == main_id_ && snapshot.checker_id == checker_id_,
                  "channel snapshot endpoint mismatch");
-  items_.clear();
-  for (const StreamItem& item : snapshot.items) items_.push_back(item);
+  slots_.clear();
+  checkpoints_.clear();
+  checkpoints_popped_ = 0;
+  u64 ordinal = 0;
+  for (Slot slot : snapshot.items) {
+    slot.cycle -= config_.channel_latency;
+    if (slot.kind >= kSlotScp) slot.data = ordinal++;
+    slots_.push_back(slot);
+  }
+  FLEX_CHECK_MSG(ordinal == snapshot.checkpoints.size(),
+                 "channel snapshot checkpoint count mismatch");
+  checkpoints_.append(snapshot.checkpoints.data(), snapshot.checkpoints.size());
   segments_.clear();
-  for (const SegmentMeta& meta : snapshot.segments) segments_.push_back(meta);
+  segments_.append(snapshot.segments.data(), snapshot.segments.size());
   next_seq_ = snapshot.next_seq;
   last_popped_seq_ = snapshot.last_popped_seq;
   last_pop_cycle_ = snapshot.last_pop_cycle;
@@ -331,24 +370,23 @@ void Channel::restore(const Snapshot& snapshot) {
 }
 
 std::optional<InjectedFault> Channel::inject_random_fault(Rng& rng, Cycle now) {
-  if (items_.empty() || fault_.has_value()) return std::nullopt;
-  const auto index = static_cast<std::size_t>(rng.next_below(items_.size()));
+  if (slots_.empty() || fault_.has_value()) return std::nullopt;
+  const auto index = static_cast<std::size_t>(rng.next_below(slots_.size()));
   return corrupt_item(index, rng, now);
 }
 
 std::optional<InjectedFault> Channel::inject_fault_at(std::size_t index, Rng& rng,
                                                       Cycle now) {
-  if (index >= items_.size() || fault_.has_value()) return std::nullopt;
-  const Cycle pushed_at = items_[index].visible_at - config_.channel_latency;
-  return corrupt_item(index, rng, std::min(now, pushed_at));
+  if (index >= slots_.size() || fault_.has_value()) return std::nullopt;
+  return corrupt_item(index, rng, std::min(now, slots_[index].cycle));
 }
 
 std::optional<InjectedFault> Channel::inject_fault_at_tail(Rng& rng, Cycle now) {
-  if (items_.empty() || fault_.has_value()) return std::nullopt;
+  if (slots_.empty() || fault_.has_value()) return std::nullopt;
   // The corruption physically happens in the forwarding path, i.e. when the
   // producer pushed the item — not at the campaign's (later) wall time.
-  const Cycle pushed_at = items_.back().visible_at - config_.channel_latency;
-  return corrupt_item(items_.size() - 1, rng, std::min(now, pushed_at));
+  const std::size_t tail = slots_.size() - 1;
+  return corrupt_item(tail, rng, std::min(now, slots_[tail].cycle));
 }
 
 }  // namespace flexstep::fs

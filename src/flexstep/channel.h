@@ -11,6 +11,11 @@
 // segment only once its SegmentEnd is queued, so replay never starves
 // mid-segment. This conservatively lengthens detection latency by one
 // segment, which the paper's µs-scale latency distribution absorbs.
+//
+// Storage is dense: the queue holds one 32-byte Slot per item (over 99% of
+// the items are MAL entries), and the few SCP / SegmentEnd items keep their
+// architectural state in a side ring of Checkpoints, found through the index
+// their slot carries. Sequence numbers are implied by queue position.
 #pragma once
 
 #include <optional>
@@ -53,11 +58,16 @@ class Channel {
   };
 
   /// Complete channel state, including the routing endpoints so a Fabric can
-  /// recreate the channel object itself from the snapshot.
+  /// recreate the channel object itself from the snapshot. Items are kept in
+  /// the dense form: `items[i]` is the slot of the item with seq
+  /// `next_seq - items.size() + i`, except that its `cycle` holds visible_at
+  /// and a checkpoint slot carries no bytes/addr/data; `checkpoints` holds
+  /// the payload of each checkpoint slot, in queue order.
   struct Snapshot {
     CoreId main_id = 0;
     CoreId checker_id = 0;
-    std::vector<StreamItem> items;
+    std::vector<Slot> items;
+    std::vector<Checkpoint> checkpoints;
     std::vector<SegmentMeta> segments;
     u64 next_seq = 0;
     u64 last_popped_seq = 0;
@@ -67,9 +77,14 @@ class Channel {
     u64 backpressure_events = 0;
     std::optional<InjectedFault> fault;
     std::size_t bytes() const {
-      return items.size() * sizeof(StreamItem) + segments.size() * sizeof(SegmentMeta);
+      return items.size() * sizeof(Slot) + checkpoints.size() * sizeof(Checkpoint) +
+             segments.size() * sizeof(SegmentMeta);
     }
 
+    /// FXAR form: one full record per item (kind, seq, visible_at, MAL
+    /// fields, checkpoint fields), zeros standing in for the fields the
+    /// item's kind does not carry. deserialize() rejects (kMalformed) item
+    /// seqs that are not contiguous and ending at next_seq - 1.
     void serialize(io::ArchiveWriter& ar) const;
     void deserialize(io::ArchiveReader& ar);
   };
@@ -81,7 +96,7 @@ class Channel {
         // Ring sized to the backpressure threshold: occupancy beyond
         // channel_capacity (DMA spill while the checker starves) grows the
         // ring by doubling, preserving the overflow semantics.
-        items_(static_cast<std::size_t>(config.channel_capacity) + 1) {}
+        slots_(static_cast<std::size_t>(config.channel_capacity) + 1) {}
 
   CoreId main_id() const { return main_id_; }
   CoreId checker_id() const { return checker_id_; }
@@ -104,19 +119,22 @@ class Channel {
   void push_scp(const arch::ArchState& scp, Cycle now);
   void push_segment_end(const arch::ArchState& ecp, u64 inst_count, Cycle now);
 
-  /// Hot path: one call per logged memory access. Inline, and writes only the
-  /// fields a kMem consumer can observe (kind/seq/visible_at/mem) — the slot's
-  /// stale ArchState is dead weight no reader, fault injector, or snapshot
-  /// consumer ever interprets for kMem items, and zeroing it dominated the
-  /// publish cost of batched segments.
+  /// Stepwise hot path: one call per logged memory access.
   void push_mem(const MemLogEntry& entry, Cycle now) {
     FLEX_CHECK_MSG(!closed_, "push on closed channel");
-    StreamItem& item = items_.emplace_back_raw();
-    item.kind = StreamItem::Kind::kMem;
-    item.seq = next_seq_++;
-    item.visible_at = now + config_.channel_latency;
-    item.mem = entry;
-    if (items_.size() > max_occupancy_) max_occupancy_ = items_.size();
+    slots_.push_back(Slot{static_cast<u8>(entry.kind), entry.bytes, entry.addr,
+                          entry.data, now});
+    ++next_seq_;
+    if (slots_.size() > max_occupancy_) max_occupancy_ = slots_.size();
+  }
+
+  /// Fused publish: append `count` MAL slots as the batched engine recorded
+  /// them (kind = MemEntryKind tag, cycle = push cycle) in one block copy.
+  void push_mem_run(const Slot* run, std::size_t count) {
+    FLEX_CHECK_MSG(!closed_, "push on closed channel");
+    slots_.append(run, count);
+    next_seq_ += count;
+    if (slots_.size() > max_occupancy_) max_occupancy_ = slots_.size();
   }
 
   /// Producer will push nothing more (verification job finished / dissociated).
@@ -132,15 +150,43 @@ class Channel {
   /// Instruction count of the oldest complete queued segment.
   u64 front_segment_ic() const;
 
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
-  bool drained() const { return closed_ && items_.empty(); }
-  const StreamItem& front() const { return items_.front(); }
+  bool empty() const { return slots_.empty(); }
+  std::size_t size() const { return slots_.size(); }
+  bool drained() const { return closed_ && slots_.empty(); }
+
+  /// Kind of queued item `index` (0 = oldest still buffered).
+  StreamItem::Kind kind_at(std::size_t index) const {
+    return slot_item_kind(slots_[index].kind);
+  }
+  /// Dense slot of queued item `index` (layout: see Slot).
+  const Slot& slot(std::size_t index) const { return slots_[index]; }
+  /// MAL payload of queued kMem item `index`.
+  MemLogEntry mem_at(std::size_t index) const {
+    const Slot& s = slots_[index];
+    FLEX_DCHECK(s.kind < kSlotScp);
+    return {static_cast<MemEntryKind>(s.kind), s.bytes, s.addr, s.data};
+  }
+  /// Payload of queued kScp / kSegmentEnd item `index`.
+  const Checkpoint& checkpoint_at(std::size_t index) const {
+    return checkpoints_[checkpoint_index(index)];
+  }
+  /// Queued item `index`, materialised (tests, diagnostics, cold paths).
+  StreamItem item(std::size_t index) const;
+  StreamItem front() const { return item(0); }
   /// Most recently forwarded queued item (what inject_fault_at_tail corrupts).
-  const StreamItem& back() const { return items_.back(); }
-  /// Queued item at `index` (0 = oldest still buffered).
-  const StreamItem& item(std::size_t index) const { return items_[index]; }
-  StreamItem pop(Cycle now);
+  StreamItem back() const { return item(slots_.size() - 1); }
+
+  /// Retire the oldest item; returns its kind.
+  StreamItem::Kind pop_front(Cycle now);
+  /// Retire the oldest item and return it materialised.
+  StreamItem pop(Cycle now) {
+    StreamItem out = front();
+    pop_front(now);
+    return out;
+  }
+
+  /// Copy the `count` oldest slots to `out` (fused replay staging).
+  void copy_front(std::size_t count, Slot* out) const { slots_.copy_out(0, count, out); }
 
   /// Bulk-retire `count` already-consumed kMem items from the front (fused
   /// replay path). Equivalent to `count` pop() calls whose intermediate
@@ -204,15 +250,26 @@ class Channel {
   void restore(const Snapshot& snapshot);
 
  private:
-  StreamItem& push_raw(StreamItem::Kind kind, Cycle now);
+  /// Push a checkpoint slot plus its side-ring payload; returns its seq.
+  u64 push_checkpoint(u8 tag, const arch::ArchState& state, u64 inst_count, Cycle now);
+  /// Side-ring index of the checkpoint in queued slot `index`.
+  std::size_t checkpoint_index(std::size_t index) const {
+    FLEX_DCHECK(slots_[index].kind >= kSlotScp);
+    return static_cast<std::size_t>(slots_[index].data - checkpoints_popped_);
+  }
+  u64 seq_at(std::size_t index) const { return next_seq_ - slots_.size() + index; }
   std::optional<InjectedFault> corrupt_item(std::size_t index, Rng& rng, Cycle now);
 
   FlexStepConfig config_;
   CoreId main_id_;
   CoreId checker_id_;
 
-  Ring<StreamItem> items_;
-  Ring<SegmentMeta> segments_;  ///< One per queued SegmentEnd, FIFO order.
+  /// One dense slot per queued item. A checkpoint slot's `data` holds its
+  /// checkpoint's ordinal (count of checkpoints pushed before it).
+  Ring<Slot> slots_;
+  Ring<Checkpoint> checkpoints_;  ///< Side ring: one per queued SCP/SegmentEnd.
+  u64 checkpoints_popped_ = 0;    ///< Ordinal of checkpoints_.front().
+  Ring<SegmentMeta> segments_;    ///< One per queued SegmentEnd, FIFO order.
   u64 next_seq_ = 0;
   u64 last_popped_seq_ = 0;
   Cycle last_pop_cycle_ = 0;

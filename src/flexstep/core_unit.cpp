@@ -183,14 +183,15 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
   std::optional<MemLogEntry> next_entry(MemEntryKind expected) {
     Channel* ch = unit_.in_channel_;
     if (ch == nullptr || ch->empty() ||
-        ch->front().kind != StreamItem::Kind::kMem ||
-        ch->front().mem.kind != expected) {
+        ch->kind_at(0) != StreamItem::Kind::kMem || ch->mem_at(0).kind != expected) {
       unit_.report(DetectKind::kStructural);
       unit_.segment_verify_failed_ = true;
       unit_.segment_abort_ = true;
       return std::nullopt;
     }
-    return unit_.pop_in(unit_.core_.cycle()).mem;
+    const MemLogEntry entry = ch->mem_at(0);
+    unit_.pop_in(unit_.core_.cycle());
+    return entry;
   }
 
   CoreUnit& unit_;
@@ -394,19 +395,19 @@ void CoreUnit::start_segment(Addr start_pc) {
   for (Channel* ch : out_channels_) ch->push_scp(scp, core_.cycle());
 }
 
-StreamItem CoreUnit::pop_in(Cycle now) {
+StreamItem::Kind CoreUnit::pop_in(Cycle now) {
   Channel& ch = *in_channel_;
   const bool had_space = ch.producer_can_push(kProducerResumeHeadroom);
-  StreamItem item = ch.pop(now);
+  const StreamItem::Kind kind = ch.pop_front(now);
   // Ending the quantum on a space transition (or a SegmentEnd consumption,
   // which feeds the spill rule and drain detection) lets the co-sim driver
   // unblock a backpressured producer at exactly the cycle the stepwise
   // scheduler would have.
   if ((!had_space && ch.producer_can_push(kProducerResumeHeadroom)) ||
-      item.kind == StreamItem::Kind::kSegmentEnd) {
+      kind == StreamItem::Kind::kSegmentEnd) {
     core_.request_quantum_end();
   }
-  return item;
+  return kind;
 }
 
 Cycle CoreUnit::end_segment(Addr resume_pc) {
@@ -536,11 +537,11 @@ Cycle CoreUnit::next_segment_ready_at() const {
 
 void CoreUnit::apply_scp() {
   FLEX_CHECK_MSG(segment_ready(core_.cycle()), "C.apply with no ready SCP");
-  FLEX_CHECK(in_channel_->front().kind == StreamItem::Kind::kScp);
-  const StreamItem scp = pop_in(core_.cycle());
-  pending_scp_ = scp.state;
+  FLEX_CHECK(in_channel_->kind_at(0) == StreamItem::Kind::kScp);
+  pending_scp_ = in_channel_->checkpoint_at(0).state;
+  pop_in(core_.cycle());
   expected_ic_ = in_channel_->front_segment_ic();
-  for (u8 r = 1; r < isa::kNumRegs; ++r) core_.set_reg(r, scp.state.regs[r]);
+  for (u8 r = 1; r < isa::kNumRegs; ++r) core_.set_reg(r, pending_scp_.regs[r]);
 }
 
 void CoreUnit::enter_replay() {
@@ -646,8 +647,7 @@ void CoreUnit::on_replay_fetch_fault() {
 void CoreUnit::abandon_segment() {
   // Resynchronise: drop everything up to and including the SegmentEnd.
   while (in_channel_ != nullptr && !in_channel_->empty()) {
-    const StreamItem item = pop_in(core_.cycle());
-    if (item.kind == StreamItem::Kind::kSegmentEnd) break;
+    if (pop_in(core_.cycle()) == StreamItem::Kind::kSegmentEnd) break;
   }
   ++segments_failed_;
   exit_replay_mode(false);
@@ -656,14 +656,14 @@ void CoreUnit::abandon_segment() {
 void CoreUnit::finish_segment(Addr checker_next_pc) {
   // The SegmentEnd must be the next queued item (all entries consumed).
   if (in_channel_->empty() ||
-      in_channel_->front().kind != StreamItem::Kind::kSegmentEnd) {
+      in_channel_->kind_at(0) != StreamItem::Kind::kSegmentEnd) {
     report(DetectKind::kStructural);
     segment_verify_failed_ = true;
     abandon_segment();
     return;
   }
-  const StreamItem end = pop_in(core_.cycle());
-  const ArchState& ecp = end.state;
+  const ArchState ecp = in_channel_->checkpoint_at(0).state;
+  pop_in(core_.cycle());
 
   // Compare the checker's architectural state with the ECP.
   bool mismatch_reported = false;
@@ -771,22 +771,23 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
   if (replay_active_) {
     if (segment_abort_ || in_channel_ == nullptr) return nullptr;
     Channel& ch = *in_channel_;
-    // Stage the run of plain load/store log entries at the queue front. The
-    // staging copy is O(run length), so it is clamped to what the span can
+    // Stage the log entries at the queue front. The staging copy is
+    // O(window length), so the window is clamped to what the span can
     // actually consume (`max_entries`: tiny under the strict-leapfrog engine,
     // a whole burst under the relaxed one). Unless the driver has promised
     // that every pop this quantum stays in the producer's past (bulk consume
     // horizon), the pop that frees the producer-resume space threshold must
     // stay on the stepwise path (pop_in ends the quantum so the driver can
     // wake the blocked producer at exactly the stepwise cycle), so when the
-    // channel is over that threshold the staged run stops one short of the
-    // transition.
+    // channel is over that threshold the staged window stops one short of
+    // the transition.
     // A span of `max_entries` instructions commits far fewer memory ops than
     // instructions (typical workloads sit near 15-25% memory density), and
-    // staging is a per-entry copy — so pre-staging the full instruction
-    // window mostly copies records the span never reaches. Stage a quarter
-    // of the window (plus slack for tiny windows): dense memory code simply
-    // exhausts the cursor early, bails, and re-stages on the next span.
+    // staging copies every staged slot — so pre-staging the full
+    // instruction window mostly copies records the span never reaches. Stage
+    // a quarter of the window (plus slack for tiny windows): dense memory
+    // code simply exhausts the cursor early, bails, and re-stages on the
+    // next span.
     const u64 expected = max_entries / 4 + 8;
     u64 max_pops = std::min<u64>(kCursorSlots, std::min(max_entries, expected));
     if (bulk_consume_horizon_ == 0 &&
@@ -797,25 +798,20 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
     }
     const u64 avail = std::min<u64>(ch.size(), max_pops);
     if (avail == 0) return nullptr;
-    if (cursor_slots_.empty()) cursor_slots_.resize(kCursorSlots);
-    u32 staged = 0;
-    for (u64 i = 0; i < avail; ++i) {
-      const StreamItem& item = ch.item(i);
-      if (item.kind != StreamItem::Kind::kMem) break;
-      if (item.mem.kind != MemEntryKind::kLoadData &&
-          item.mem.kind != MemEntryKind::kStoreAddrData) {
-        break;  // LR/SC/AMO entries replay through the stepwise port
-      }
-      arch::MemRecord& rec = cursor_slots_[staged];
-      rec.kind = static_cast<u8>(item.mem.kind);
-      rec.bytes = item.mem.bytes;
-      rec.addr = item.mem.addr;
-      rec.data = item.mem.data;
-      ++staged;
+    // Stage the window with one block copy (the channel and the cursor share
+    // the slot layout). The engine checks each staged slot's kind against
+    // the load/store replaying it, so it stops at the first LR/SC/AMO entry
+    // or checkpoint exactly as it stops at the end of the window; only a
+    // window that starts with one stages nothing.
+    const u8 front_kind = ch.slot(0).kind;
+    if (front_kind != static_cast<u8>(MemEntryKind::kLoadData) &&
+        front_kind != static_cast<u8>(MemEntryKind::kStoreAddrData)) {
+      return nullptr;  // replays through the stepwise port
     }
-    if (staged == 0) return nullptr;
+    if (cursor_slots_.empty()) cursor_slots_.resize(kCursorSlots);
+    ch.copy_front(avail, cursor_slots_.data());
     cursor_.slots = cursor_slots_.data();
-    cursor_.capacity = staged;
+    cursor_.capacity = static_cast<u32>(avail);
     cursor_.produce = false;
     cursor_.load_kind = static_cast<u8>(MemEntryKind::kLoadData);
     cursor_.store_kind = static_cast<u8>(MemEntryKind::kStoreAddrData);
@@ -856,16 +852,8 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
 
 void CoreUnit::publish_cursor() {
   if (cursor_.produce) {
-    for (u32 i = 0; i < cursor_.used; ++i) {
-      const arch::MemRecord& rec = cursor_slots_[i];
-      MemLogEntry entry;
-      entry.kind = static_cast<MemEntryKind>(rec.kind);
-      entry.bytes = rec.bytes;
-      entry.addr = rec.addr;
-      entry.data = rec.data;
-      for (Channel* ch : out_channels_) ch->push_mem(entry, rec.cycle);
-      ++mem_entries_logged_;
-    }
+    for (Channel* ch : out_channels_) ch->push_mem_run(cursor_slots_.data(), cursor_.used);
+    mem_entries_logged_ += cursor_.used;
   } else if (in_channel_ != nullptr) {
     in_channel_->consume_front(cursor_.used, cursor_.last_cycle);
   }

@@ -289,7 +289,7 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// waits on, or consuming a SegmentEnd (occupancy spill-rule / drain
   /// transitions). Keeps the quantum engine's schedule bit-identical to the
   /// stepwise engine's.
-  StreamItem pop_in(Cycle now);
+  StreamItem::Kind pop_in(Cycle now);
   Cycle on_main_commit(const arch::CommitInfo& info);
   Cycle on_replay_commit(const arch::CommitInfo& info);
   void apply_scp();

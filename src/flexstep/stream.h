@@ -4,6 +4,7 @@
 #pragma once
 
 #include "arch/arch_state.h"
+#include "arch/ports.h"
 #include "common/types.h"
 
 namespace flexstep::fs {
@@ -40,6 +41,10 @@ struct MemLogEntry {
   u64 data = 0;
 };
 
+/// One queued stream item, materialised: what Channel::item() and pop()
+/// return. The channel itself stores items densely (see Slot below); the
+/// checkpoint fields of a kMem item and the MAL fields of a checkpoint read
+/// as zero.
 struct StreamItem {
   enum class Kind : u8 {
     kScp,         ///< Start Register Checkpoint (state.pc = segment entry PC).
@@ -54,6 +59,32 @@ struct StreamItem {
   MemLogEntry mem{};            ///< kMem payload.
   arch::ArchState state{};      ///< kScp: SCP; kSegmentEnd: ECP.
   u64 inst_count = 0;           ///< kSegmentEnd: user instructions in segment.
+};
+
+/// Dense channel slot: 32 bytes in the arch::MemRecord layout the fused
+/// engine stages and records, so publish and replay staging are block copies.
+///   kind  — a MemEntryKind for a MAL entry, or kSlotScp / kSlotSegmentEnd;
+///   bytes, addr, data — the MAL payload (a checkpoint's state lives in the
+///           channel's checkpoint ring; its slot's `data` indexes that ring);
+///   cycle — the producer's push cycle (visible_at = cycle + channel latency).
+/// The sequence number is implied by queue position.
+using Slot = arch::MemRecord;
+static_assert(sizeof(Slot) == 32);
+
+inline constexpr u8 kSlotScp = 0x80;
+inline constexpr u8 kSlotSegmentEnd = 0x81;
+
+constexpr StreamItem::Kind slot_item_kind(u8 tag) {
+  return tag == kSlotScp          ? StreamItem::Kind::kScp
+         : tag == kSlotSegmentEnd ? StreamItem::Kind::kSegmentEnd
+                                  : StreamItem::Kind::kMem;
+}
+
+/// What an SCP / SegmentEnd carries beyond its slot (inst_count: SegmentEnd
+/// only).
+struct Checkpoint {
+  arch::ArchState state{};
+  u64 inst_count = 0;
 };
 
 }  // namespace flexstep::fs

@@ -77,7 +77,7 @@ io::ArchiveError load_snapshot(const std::string& path, Snapshot& out) {
 namespace {
 
 /// FNV-1a, fed field-by-field. Snapshot records contain padding (BtbEntry,
-/// StreamItem, Way, ...), so hashing structs as raw bytes would fold
+/// channel Slot, Way, ...), so hashing structs as raw bytes would fold
 /// indeterminate host memory into the digest.
 struct Fnv {
   u64 h = 14695981039346656037ULL;
@@ -145,23 +145,24 @@ struct Fnv {
     word(static_cast<u64>(s.status));
   }
 
-  void item(const fs::StreamItem& s) {
-    word(static_cast<u64>(s.kind));
-    word(s.seq);
-    word(s.visible_at);
-    word(static_cast<u64>(s.mem.kind));
-    word(s.mem.bytes);
-    word(s.mem.addr);
-    word(s.mem.data);
-    state(s.state);
-    word(s.inst_count);
+  void slot(const fs::Slot& s) {
+    word(s.kind);
+    word(s.bytes);
+    word(s.addr);
+    word(s.data);
+    word(s.cycle);
   }
 
   void channel(const fs::Channel::Snapshot& s) {
     word(s.main_id);
     word(s.checker_id);
     word(s.items.size());
-    for (const auto& it : s.items) item(it);
+    for (const auto& it : s.items) slot(it);
+    word(s.checkpoints.size());
+    for (const auto& ckpt : s.checkpoints) {
+      state(ckpt.state);
+      word(ckpt.inst_count);
+    }
     word(s.segments.size());
     for (const auto& seg : s.segments) {
       word(seg.inst_count);

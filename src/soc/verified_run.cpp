@@ -465,8 +465,9 @@ Cycle VerifiedExecution::bounded_quantum(const arch::Core& chosen, u64& budget) 
   // CoreUnit::set_bulk_consume_horizon). Only once the checker has caught up
   // to the blocked producer's clock does the wake cycle become load-bearing:
   // stay on the strict, wake-exact bound there. A halted producer makes no
-  // further push decisions at all, so the drain phase keeps the strict bound
-  // (vs. the other cores) but pops freely. The attached producer is read off
+  // further push decisions at all, so nothing another core does can depend
+  // on the drain phase's pops: it runs a free burst under the skew cap, like
+  // the other relaxed branches. The attached producer is read off
   // the checker's *current* in-channel: while serving a waitlist the checker
   // keeps relaxed bulk-consume progress on that channel regardless of what
   // the parked producers are doing.
@@ -488,7 +489,8 @@ Cycle VerifiedExecution::bounded_quantum(const arch::Core& chosen, u64& budget) 
     if (producer_done) {
       ++cosim_.relaxed_bursts;
       unit.set_bulk_consume_horizon(arch::kNoCycleBound);
-      return quantum_bound(chosen);
+      budget = std::min(budget, skew_insts_);
+      return arch::kNoCycleBound;
     }
   }
   ++cosim_.strict_fallbacks;

@@ -1,6 +1,9 @@
 // DBC channel unit tests: stream ordering, segment readiness, backpressure
-// and the DMA-spill rule, fault injection bookkeeping.
+// and the DMA-spill rule, fault injection bookkeeping, and the dense storage
+// (slot ring + checkpoint side ring) against a plain item-by-item model.
 #include <gtest/gtest.h>
+
+#include <deque>
 
 #include "flexstep/channel.h"
 
@@ -195,6 +198,193 @@ TEST(Channel, OccupancyHighWaterMark) {
   ch.pop(1);
   EXPECT_EQ(ch.max_occupancy(), 5u);
   EXPECT_EQ(ch.size(), 3u);
+}
+
+/// Drives a Channel and a reference deque of materialised items in lockstep.
+class ModelledChannel {
+ public:
+  explicit ModelledChannel(const FlexStepConfig& config)
+      : config_(config), ch_(0, 1, config) {}
+
+  Channel& channel() { return ch_; }
+  std::deque<StreamItem>& model() { return model_; }
+
+  void scp(u64 marker, Cycle now) {
+    ch_.push_scp(state_with(marker), now);
+    add(StreamItem::Kind::kScp, now).state = state_with(marker);
+  }
+  void mem(u64 marker, Cycle now) {
+    MemLogEntry e;
+    e.kind = marker % 2 == 0 ? MemEntryKind::kLoadData : MemEntryKind::kStoreAddrData;
+    e.bytes = 8;
+    e.addr = 0x1000 + 8 * marker;
+    e.data = marker * 0x9E3779B97F4A7C15ULL;
+    ch_.push_mem(e, now);
+    add(StreamItem::Kind::kMem, now).mem = e;
+  }
+  void segment_end(u64 marker, u64 ic, Cycle now) {
+    ch_.push_segment_end(state_with(marker), ic, now);
+    StreamItem& item = add(StreamItem::Kind::kSegmentEnd, now);
+    item.state = state_with(marker);
+    item.inst_count = ic;
+  }
+  void pop(Cycle now) {
+    ASSERT_FALSE(model_.empty());
+    expect_same(ch_.pop(now), model_.front());
+    EXPECT_EQ(ch_.last_popped_seq(), model_.front().seq);
+    model_.pop_front();
+  }
+  void expect_matches() {
+    ASSERT_EQ(ch_.size(), model_.size());
+    for (std::size_t i = 0; i < model_.size(); ++i) expect_same(ch_.item(i), model_[i]);
+  }
+  /// seq of the SegmentEnd closing model item `index` (kUnresolvedSegmentEnd
+  /// while its segment is open).
+  u64 closing_seq(std::size_t index) const {
+    for (std::size_t i = index; i < model_.size(); ++i) {
+      if (model_[i].kind == StreamItem::Kind::kSegmentEnd) return model_[i].seq;
+    }
+    return kUnresolvedSegmentEnd;
+  }
+
+  static void expect_same(const StreamItem& got, const StreamItem& want) {
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.visible_at, want.visible_at);
+    EXPECT_EQ(got.mem.kind, want.mem.kind);
+    EXPECT_EQ(got.mem.bytes, want.mem.bytes);
+    EXPECT_EQ(got.mem.addr, want.mem.addr);
+    EXPECT_EQ(got.mem.data, want.mem.data);
+    EXPECT_EQ(got.state, want.state);
+    EXPECT_EQ(got.inst_count, want.inst_count);
+  }
+
+ private:
+  StreamItem& add(StreamItem::Kind kind, Cycle now) {
+    StreamItem& item = model_.emplace_back();
+    item.kind = kind;
+    item.seq = next_seq_++;
+    item.visible_at = now + config_.channel_latency;
+    return item;
+  }
+
+  FlexStepConfig config_;
+  Channel ch_;
+  std::deque<StreamItem> model_;
+  u64 next_seq_ = 0;
+};
+
+/// Bits in which two materialised items' payloads differ.
+int payload_bit_distance(const StreamItem& a, const StreamItem& b) {
+  int bits = __builtin_popcountll(a.mem.addr ^ b.mem.addr) +
+             __builtin_popcountll(a.mem.data ^ b.mem.data) +
+             __builtin_popcountll(a.state.pc ^ b.state.pc) +
+             __builtin_popcountll(a.inst_count ^ b.inst_count);
+  for (std::size_t r = 0; r < a.state.regs.size(); ++r) {
+    bits += __builtin_popcountll(a.state.regs[r] ^ b.state.regs[r]);
+  }
+  return bits;
+}
+
+TEST(ChannelStorage, SideRingTracksCheckpointsThroughWrapAndSpill) {
+  ModelledChannel mc(small_config());  // capacity 8: a 16-slot ring
+  Channel& ch = mc.channel();
+  Cycle now = 0;
+  u64 marker = 1;
+
+  // Wrap-around: whole segments pushed and popped many times over a queue
+  // that never holds more than one segment, so every slot and checkpoint
+  // position is reused with a different item kind.
+  for (int round = 0; round < 20; ++round) {
+    mc.scp(marker++, ++now);
+    for (int m = 0; m < round % 4; ++m) mc.mem(marker++, ++now);
+    mc.segment_end(marker++, round, ++now);
+    mc.expect_matches();
+    while (!mc.model().empty()) mc.pop(++now);
+  }
+
+  // Spill growth: complete segments (many checkpoints) plus an open segment
+  // whose MAL entries push occupancy far past channel_capacity.
+  for (int seg = 0; seg < 12; ++seg) {
+    mc.scp(marker++, ++now);
+    mc.mem(marker++, ++now);
+    mc.segment_end(marker++, seg, ++now);
+  }
+  mc.pop(++now);  // leaves a SegmentEnd-led mixture at the front
+  mc.scp(marker++, ++now);
+  for (int m = 0; m < 40; ++m) mc.mem(marker++, ++now);
+  ASSERT_GT(ch.size(), 2 * small_config().channel_capacity);
+  mc.expect_matches();
+
+  // Fault-site flips on one item of each kind land in that item only.
+  const auto first_of = [&](StreamItem::Kind kind, std::size_t from) {
+    for (std::size_t i = from; i < mc.model().size(); ++i) {
+      if (mc.model()[i].kind == kind) return i;
+    }
+    ADD_FAILURE() << "no item of the requested kind";
+    return std::size_t{0};
+  };
+  const std::size_t mem_i = first_of(StreamItem::Kind::kMem, 5);
+  const std::size_t scp_i = first_of(StreamItem::Kind::kScp, 5);
+  const std::size_t end_i = first_of(StreamItem::Kind::kSegmentEnd, 5);
+  ch.flip_entry_bit(mem_i, 70);  // data bit 6
+  mc.model()[mem_i].mem.data ^= u64{1} << 6;
+  ch.flip_entry_bit(scp_i, 64 + 64 * 2 + 5);  // x3 bit 5
+  mc.model()[scp_i].state.regs[3] ^= u64{1} << 5;
+  ch.flip_entry_bit(end_i, 64 + 31 * 64 + 1);  // inst_count bit 1
+  mc.model()[end_i].inst_count ^= u64{1} << 1;
+  mc.expect_matches();
+
+  // Sec. VI-C injections on each kind (closed and still-open segments): one
+  // payload bit of that item, attributed to its seq and closing SegmentEnd.
+  const std::size_t open_mem_i = mc.model().size() - 3;
+  Rng rng(11);
+  for (const std::size_t index : {mem_i, scp_i, end_i, open_mem_i}) {
+    const StreamItem before = mc.model()[index];
+    const auto fault = ch.inject_fault_at(index, rng, now + 100);
+    ASSERT_TRUE(fault.has_value());
+    EXPECT_EQ(fault->seq, before.seq);
+    EXPECT_EQ(fault->item_kind, before.kind);
+    EXPECT_EQ(fault->segment_end_seq, mc.closing_seq(index));
+    EXPECT_EQ(fault->injected_at, before.visible_at - small_config().channel_latency);
+    const StreamItem after = ch.item(index);
+    EXPECT_EQ(payload_bit_distance(before, after), 1);
+    mc.model()[index] = after;
+    ch.clear_fault();
+  }
+  EXPECT_EQ(mc.closing_seq(open_mem_i), kUnresolvedSegmentEnd);
+  mc.expect_matches();
+
+  // The flipped values come back out of pop() in order, with their seqs.
+  mc.segment_end(marker++, 41, ++now);
+  while (!mc.model().empty()) mc.pop(++now);
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(ch.complete_segments_queued(), 0u);
+}
+
+TEST(ChannelStorage, SnapshotRoundTripRebuildsSideRing) {
+  ModelledChannel mc(small_config());
+  Channel& ch = mc.channel();
+  Cycle now = 0;
+  for (u64 marker = 1; marker < 60; marker += 4) {
+    mc.scp(marker, ++now);
+    mc.mem(marker + 1, ++now);
+    mc.mem(marker + 2, ++now);
+    mc.segment_end(marker + 3, 2, ++now);
+    mc.pop(++now);
+  }
+  Channel::Snapshot snap;
+  ch.save(snap);
+  Channel copy(0, 1, small_config());
+  copy.restore(snap);
+  ASSERT_EQ(copy.size(), mc.model().size());
+  for (std::size_t i = 0; i < mc.model().size(); ++i) {
+    ModelledChannel::expect_same(copy.item(i), mc.model()[i]);
+  }
+  Channel::Snapshot again;
+  copy.save(again);
+  EXPECT_EQ(again.checkpoints.size(), snap.checkpoints.size());
+  EXPECT_EQ(again.next_seq, snap.next_seq);
 }
 
 }  // namespace

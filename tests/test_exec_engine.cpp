@@ -1081,6 +1081,30 @@ TEST(ExecEngineContended, PairsTopologyIdenticalAcrossEngines) {
   expect_equal_relaxed(stepwise, bounded);
 }
 
+TEST(ExecEngineContended, DrainingCheckersDoNotLeapfrogEachOther) {
+  // Independent pairs must cost about as many scheduling rounds per pair as
+  // one pair does. Once a producer halts, its checker drains the queued
+  // segments; nothing another core does depends on those pops, so the drain
+  // runs free bursts. Bounding it by every running core instead would make
+  // the draining checkers leapfrog each other one instruction per round
+  // (pairs(4): about 24k rounds against 631 for pairs(1); about 4.5k with
+  // free drain bursts).
+  auto rounds = [](u32 pairs) {
+    sim::Session session = sim::Scenario()
+                               .workload("swaptions")
+                               .iterations(300)
+                               .pairs(pairs)
+                               .engine(Engine::kQuantumBounded)
+                               .build();
+    session.run();
+    return session.cosim_stats().rounds;
+  };
+  const u64 one = rounds(1);
+  const u64 four = rounds(4);
+  ASSERT_GT(one, 0u);
+  EXPECT_LT(four, 8 * one) << "pairs(1) " << one << " rounds, pairs(4) " << four;
+}
+
 TEST(ExecEngineBounded, FaultCampaignForkReexecutionParity) {
   // The production fault campaign under the relaxed engine: snapshot-fork and
   // warmup-re-execution must stay bit-identical outcome-for-outcome, exactly

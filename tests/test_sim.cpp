@@ -134,6 +134,33 @@ TEST(Snapshot, ForkedSessionRunsBitIdenticalToRunOn) {
   EXPECT_EQ(run_on, forked);
 }
 
+TEST(Snapshot, ForkDigestTracksParentStepByStep) {
+  // A fork must be indistinguishable from the original continuing, down to
+  // the snapshot digest: after every equal advance, parent and fork hash
+  // alike. The DBC channel slots are the sensitive part — a reused queue slot
+  // must carry nothing of the item that last occupied it.
+  constexpr u64 kForkPoints[] = {50'000, 200'000, 400'000};
+  constexpr int kSteps = 6;
+  constexpr u64 kStep = 20'000;
+  for (const bool triple : {false, true}) {
+    for (const u64 fork_at : kForkPoints) {
+      Scenario scenario = small_verified_scenario();
+      if (triple) scenario.triple();
+      Session parent = scenario.build();
+      ASSERT_TRUE(parent.advance(fork_at));
+      Session fork = parent.fork();
+      for (int step = 1; step <= kSteps; ++step) {
+        parent.advance(kStep);
+        fork.advance(kStep);
+        EXPECT_EQ(soc::snapshot_digest(parent.snapshot()),
+                  soc::snapshot_digest(fork.snapshot()))
+            << (triple ? "triple" : "dual") << " fork at " << fork_at << ", step "
+            << step;
+      }
+    }
+  }
+}
+
 TEST(Snapshot, RestoreRewindsMidFlightState) {
   // Snapshot early, run further, restore, and check the observable clocks and
   // counters rewound exactly.

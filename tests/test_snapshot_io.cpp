@@ -266,6 +266,66 @@ TEST(SnapshotWire, DomainChecksRejectCrcCleanGarbage) {
   EXPECT_EQ(r.error().status, ArchiveStatus::kMalformed);
 }
 
+/// A CRC-clean channel record with one SCP, one MAL entry and one SegmentEnd
+/// queued at the given seqs; returns what Channel::Snapshot::deserialize makes
+/// of it.
+ArchiveStatus decode_channel_with_seqs(const std::vector<u64>& seqs, u64 next_seq) {
+  ArchiveWriter w(kTestTag, 1);
+  w.begin_section(1);
+  w.put_varint(0);  // main_id
+  w.put_varint(1);  // checker_id
+  w.put_varint(seqs.size());
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    const auto kind = i == 0 ? fs::StreamItem::Kind::kScp
+                      : i + 1 == seqs.size() ? fs::StreamItem::Kind::kSegmentEnd
+                                             : fs::StreamItem::Kind::kMem;
+    const bool mem = kind == fs::StreamItem::Kind::kMem;
+    w.put_u8(static_cast<u8>(kind));
+    w.put_varint(seqs[i]);
+    w.put_varint(100 + i);  // visible_at
+    w.put_u8(0);            // MAL kind: load
+    w.put_u8(mem ? 8 : 0);
+    w.put_u64(mem ? 0x1000 : 0);
+    w.put_u64(mem ? 42 : 0);
+    w.put_u64(mem ? 0 : 0x2000);  // checkpoint pc
+    for (int r = 0; r < 32; ++r) w.put_u64(mem || r == 0 ? 0 : r);
+    w.put_varint(kind == fs::StreamItem::Kind::kSegmentEnd ? 1 : 0);
+  }
+  w.put_varint(1);  // one SegmentMeta
+  w.put_varint(1);
+  w.put_varint(100 + seqs.size() - 1);
+  w.put_varint(seqs.back());
+  w.put_varint(next_seq);
+  w.put_varint(seqs.front() - 1);  // last_popped_seq
+  w.put_varint(90);                // last_pop_cycle
+  w.put_bool(false);               // closed
+  w.put_varint(seqs.size());       // max_occupancy
+  w.put_varint(0);                 // backpressure_events
+  w.put_bool(false);               // no pending fault
+  w.end_section();
+  const auto& buf = w.buffer();
+
+  ArchiveReader r(buf.data(), buf.size(), kTestTag, 1);
+  EXPECT_TRUE(r.begin_section(1));
+  fs::Channel::Snapshot decoded;
+  decoded.deserialize(r);
+  if (r.ok()) {
+    EXPECT_EQ(decoded.items.size(), seqs.size());
+    EXPECT_EQ(decoded.checkpoints.size(), 2u);
+  }
+  return r.error().status;
+}
+
+TEST(SnapshotWire, ChannelItemSeqsMustBeContiguousUpToNextSeq) {
+  // Item seqs are implied by queue position in memory, so the wire's explicit
+  // seqs must agree with it: contiguous, the newest at next_seq - 1.
+  EXPECT_EQ(decode_channel_with_seqs({5, 6, 7}, 8), ArchiveStatus::kOk);
+  EXPECT_EQ(decode_channel_with_seqs({5, 7, 7}, 8), ArchiveStatus::kMalformed);  // gap
+  EXPECT_EQ(decode_channel_with_seqs({5, 5, 7}, 8), ArchiveStatus::kMalformed);  // repeat
+  EXPECT_EQ(decode_channel_with_seqs({5, 6, 7}, 9), ArchiveStatus::kMalformed);  // stale tail
+  EXPECT_EQ(decode_channel_with_seqs({5, 6, 7}, 2), ArchiveStatus::kMalformed);  // behind
+}
+
 TEST(SnapshotWire, CampaignStatsAndVulnReportRoundTrip) {
   fault::CampaignStats stats;
   fault::FaultOutcome o;
