@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,10 +22,10 @@ struct SlowdownModes {
   bool dual = true;
   bool triple = false;
   bool nzdc = false;
-  /// Co-simulation engine for every run (unset: Scenario's FLEX_ENGINE
-  /// default). Simulated results are engine-independent by the exec-engine
-  /// equivalence proofs; fig6 cross-checks that across all three.
-  std::optional<soc::Engine> engine;
+  /// Co-simulation engine for every run. Simulated results are
+  /// engine-independent by the exec-engine equivalence proofs; fig6
+  /// cross-checks that across both engines.
+  soc::Engine engine = soc::Engine::kQuantumBounded;
 };
 
 struct SlowdownResult {
@@ -62,9 +61,11 @@ inline SlowdownResult measure_workload(const workloads::WorkloadProfile& profile
   // One scenario describes the whole experiment family; the program is built
   // once and pinned so every mode simulates the identical instruction stream.
   sim::Scenario scenario;
-  scenario.workload(profile).seed(seed).iterations(iterations).soc(
-      soc::SocConfig::paper_default(4));
-  if (modes.engine.has_value()) scenario.engine(*modes.engine);
+  scenario.workload(profile)
+      .seed(seed)
+      .iterations(iterations)
+      .soc(soc::SocConfig::paper_default(4))
+      .engine(modes.engine);
   const isa::Program program = scenario.build_program();
   scenario.program(program);
 

@@ -4,12 +4,12 @@
 // exacerbates execution inconsistency between cores, causing more frequent
 // backpressure on the main core.
 //
-// The figure is produced under all three co-simulation engines (stepwise
-// reference, kQuantum, kQuantumBounded). Simulated results are
-// engine-independent by construction — this driver cross-checks that on the
-// full Parsec sweep (exit code 1 on any divergence) and reports the host-time
-// cost of each engine, so the relaxed engine shows up in the paper-figure
-// pipeline, not just in the micro benches.
+// The figure is produced under both co-simulation engines (stepwise
+// reference and kQuantumBounded). Simulated results are engine-independent by
+// construction — this driver cross-checks that on the full Parsec sweep (exit
+// code 1 on any divergence) and reports the host-time cost of each engine, so
+// the relaxed engine shows up in the paper-figure pipeline, not just in the
+// micro benches.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -25,7 +25,7 @@ int main() {
   std::printf("== Fig. 6: slowdown in dual-core vs triple-core mode (Parsec) ==\n\n");
   const auto iterations = static_cast<u32>(bench::env_u64("FLEX_ITERS", 3500));
 
-  const soc::Engine engines[] = {soc::Engine::kStepwise, soc::Engine::kQuantum,
+  const soc::Engine engines[] = {soc::Engine::kStepwise,
                                  soc::Engine::kQuantumBounded};
   struct EngineSweep {
     std::vector<double> dual;

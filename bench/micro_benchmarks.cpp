@@ -1,21 +1,22 @@
 // Micro-benchmarks for the hot paths the reproduction's experiments lean on.
 //
-// Default mode (no arguments) measures simulator host throughput — simulated
-// instructions per host-second (MIPS) — for plain, dual-checker and
-// triple-checker runs under both execution engines (the stepwise reference
-// and the batched quantum engine), prints a table and emits
-// BENCH_core_throughput.json so the perf trajectory is tracked PR-over-PR.
+// Each mode measures one layer of the simulator, prints a table, writes its
+// BENCH_*.json (the tracked perf snapshot) and exits non-zero on a failed
+// gate. Simulator throughput is in simulated instructions per host-second
+// (MIPS), compared across the stepwise reference and the bounded engine.
 //
-//   ./bench/micro_benchmarks                  # throughput mode + JSON
-//   ./bench/micro_benchmarks --campaign       # campaign-throughput mode + JSON
-//   ./bench/micro_benchmarks --snapshot       # snapshot-fork vs re-execution + JSON
-//   ./bench/micro_benchmarks --trace          # trace-JIT on/off comparison + JSON
-//   ./bench/micro_benchmarks --cosim          # dual/triple x three engines + JSON
+//   ./bench/micro_benchmarks --cosim          # dual/triple x both engines + JSON
 //   ./bench/micro_benchmarks --scale          # 2->64-core role sweep + contended
 //                                             # shared-checker gate + JSON
+//   ./bench/micro_benchmarks --trace          # trace-JIT on/off comparison + JSON
+//   ./bench/micro_benchmarks --campaign       # campaign-throughput mode + JSON
+//   ./bench/micro_benchmarks --snapshot       # snapshot-fork vs re-execution + JSON
 //   ./bench/micro_benchmarks --vuln           # whole-SoC vulnerability campaign + JSON
 //   ./bench/micro_benchmarks --analyze        # static-analysis report + gates + JSON
-//   ./bench/micro_benchmarks --benchmark_...  # google-benchmark micro benches
+//   ./bench/micro_benchmarks [--benchmark_...]  # google-benchmark micro benches
+//                                             # (the default without a mode flag;
+//                                             # without google-benchmark the
+//                                             # binary lists the modes, exit 2)
 //   ./bench/micro_benchmarks --campaign-worker <spec>  # internal: exec-mode
 //                                             # campaign worker (see
 //                                             # fault/distributed.h)
@@ -24,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,13 +52,9 @@ using namespace flexstep;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Throughput mode
-// ---------------------------------------------------------------------------
-
 struct ThroughputSample {
   std::string mode;    ///< plain / dual / triple
-  std::string engine;  ///< stepwise / quantum
+  std::string engine;  ///< stepwise / bounded
   u64 instructions = 0;  ///< Simulated instructions retired (all cores).
   double host_seconds = 0.0;
   double mips() const {
@@ -66,72 +62,56 @@ struct ThroughputSample {
   }
 };
 
+/// One timed bounded-engine run of `program` (the trace bench interleaves
+/// off/on runs and keeps the best of each side). fused == false measures the
+/// pre-fusion baseline: memory instructions inside batched spans fall back to
+/// the per-instruction path, exactly the behavior before the segment-cursor
+/// seam existed.
 ThroughputSample measure(const isa::Program& program, const char* mode, u32 cores,
-                         const std::vector<CoreId>& checkers, soc::Engine engine,
-                         std::optional<bool> trace = {},
-                         arch::TraceCache::Stats* trace_stats = nullptr,
-                         soc::RunStats* run_stats = nullptr, bool fused = true,
-                         u32 reps_override = 0) {
+                         const std::vector<CoreId>& checkers, bool trace, bool fused,
+                         arch::TraceCache::Stats* trace_stats, soc::RunStats* run_stats) {
+  sim::Session session =
+      sim::Scenario().program(program).cores(cores).checkers(checkers).trace(trace).build();
+  if (!fused) {
+    for (u32 c = 0; c < cores; ++c) session.soc().core(c).set_fused_batching(false);
+  }
+
   ThroughputSample sample;
   sample.mode = mode;
-  sample.engine = soc::engine_name(engine);
-
-  // Best-of-N: each rep simulates the identical deterministic run, so the
-  // spread is purely host noise and the minimum is the honest figure.
-  // reps_override = 1 lets a caller interleave two configurations rep-by-rep
-  // (host speed drifts over a bench run; interleaving exposes both sides of a
-  // ratio to the same drift instead of penalising whichever ran later).
-  const auto reps = reps_override != 0
-                        ? reps_override
-                        : static_cast<u32>(bench::env_u64("FLEX_BENCH_REPS", 3));
-  for (u32 rep = 0; rep < std::max(reps, 1u); ++rep) {
-    sim::Scenario scenario;
-    scenario.program(program).cores(cores).checkers(checkers).engine(engine);
-    if (trace.has_value()) scenario.trace(*trace);
-    sim::Session session = scenario.build();
-    // fused == false measures the pre-fusion baseline: memory instructions
-    // inside batched spans fall back to the per-instruction path, exactly the
-    // behavior before the segment-cursor seam existed.
-    if (!fused) {
-      for (u32 c = 0; c < cores; ++c) session.soc().core(c).set_fused_batching(false);
-    }
-
-    const auto start = std::chrono::steady_clock::now();
-    const soc::RunStats stats = session.run();
-    const auto stop = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    if (rep == 0 || seconds < sample.host_seconds) sample.host_seconds = seconds;
-    sample.instructions = session.total_instret();
-    if (trace_stats != nullptr && session.soc().core(0).trace_cache() != nullptr) {
-      *trace_stats = session.soc().core(0).trace_cache()->stats();
-    }
-    if (run_stats != nullptr) *run_stats = stats;
-    // FLEX_BENCH_DEBUG=1: scheduling granularity and per-core trace-cache
-    // dispatch rates, for chasing down which core a missing speedup hides on.
-    if (rep == 0 && bench::env_u64("FLEX_BENCH_DEBUG", 0) != 0) {
-      const soc::CosimStats& cs = session.exec().cosim_stats();
+  sample.engine = soc::engine_name(session.exec().config().engine);
+  const auto start = std::chrono::steady_clock::now();
+  *run_stats = session.run();
+  const auto stop = std::chrono::steady_clock::now();
+  sample.host_seconds = std::chrono::duration<double>(stop - start).count();
+  sample.instructions = session.total_instret();
+  if (trace_stats != nullptr && session.soc().core(0).trace_cache() != nullptr) {
+    *trace_stats = session.soc().core(0).trace_cache()->stats();
+  }
+  // FLEX_BENCH_DEBUG=1: scheduling granularity and per-core trace-cache
+  // dispatch rates, for chasing down which core a missing speedup hides on.
+  if (bench::env_u64("FLEX_BENCH_DEBUG", 0) != 0) {
+    const soc::CosimStats& cs = session.cosim_stats();
+    std::fprintf(stderr,
+                 "  [debug] %s cosim: rounds=%llu relaxed=%llu strict=%llu "
+                 "hook_breaks=%llu\n",
+                 mode, static_cast<unsigned long long>(cs.rounds),
+                 static_cast<unsigned long long>(cs.relaxed_bursts),
+                 static_cast<unsigned long long>(cs.strict_fallbacks),
+                 static_cast<unsigned long long>(cs.hook_breaks));
+    for (u32 c = 0; c < cores; ++c) {
+      const arch::TraceCache* tc = session.soc().core(c).trace_cache();
+      if (tc == nullptr) continue;
+      const auto st = tc->stats();
       std::fprintf(stderr,
-                   "  [debug] %s cosim: rounds=%llu relaxed=%llu strict=%llu "
-                   "hook_breaks=%llu\n",
-                   mode, static_cast<unsigned long long>(cs.rounds),
-                   static_cast<unsigned long long>(cs.relaxed_bursts),
-                   static_cast<unsigned long long>(cs.strict_fallbacks),
-                   static_cast<unsigned long long>(cs.hook_breaks));
-      for (u32 c = 0; c < cores; ++c) {
-        const arch::TraceCache* tc = session.soc().core(c).trace_cache();
-        if (tc == nullptr) continue;
-        const auto s = tc->stats();
-        std::fprintf(stderr,
-                     "  [debug] %s core %u: instret=%llu trace_insts=%llu "
-                     "dispatches=%llu recorded=%llu flushes=%llu\n",
-                     mode, c,
-                     static_cast<unsigned long long>(session.soc().core(c).instret()),
-                     static_cast<unsigned long long>(s.insts_from_traces),
-                     static_cast<unsigned long long>(s.dispatches),
-                     static_cast<unsigned long long>(s.recorded),
-                     static_cast<unsigned long long>(s.code_write_flushes +
-                                                     s.full_flushes));
-      }
+                   "  [debug] %s core %u: instret=%llu trace_insts=%llu "
+                   "dispatches=%llu recorded=%llu flushes=%llu\n",
+                   mode, c,
+                   static_cast<unsigned long long>(session.soc().core(c).instret()),
+                   static_cast<unsigned long long>(st.insts_from_traces),
+                   static_cast<unsigned long long>(st.dispatches),
+                   static_cast<unsigned long long>(st.recorded),
+                   static_cast<unsigned long long>(st.code_write_flushes +
+                                                   st.full_flushes));
     }
   }
   return sample;
@@ -159,83 +139,12 @@ bool perf_gates_enabled() {
   return false;
 }
 
-int run_throughput_mode() {
-  const auto iterations = static_cast<u32>(bench::env_u64("FLEX_BENCH_ITERS", 4000));
-  const auto& profile = workloads::find_profile("swaptions");
-  workloads::BuildOptions build;
-  build.iterations_override = iterations;
-  const auto program = workloads::build_workload(profile, build);
-
-  std::printf("== Simulator host throughput (workload %s, %u iterations) ==\n\n",
-              profile.name.c_str(), iterations);
-
-  struct ModeSpec {
-    const char* name;
-    u32 cores;
-    std::vector<CoreId> checkers;
-  };
-  const ModeSpec modes[] = {
-      {"plain", 1, {}},
-      {"dual", 2, {1}},
-      {"triple", 3, {1, 2}},
-  };
-
-  std::vector<ThroughputSample> samples;
-  Table table({"mode", "engine", "sim inst", "host s", "MIPS", "speedup"});
-  std::vector<double> speedups;
-  for (const auto& mode : modes) {
-    const auto stepwise =
-        measure(program, mode.name, mode.cores, mode.checkers, soc::Engine::kStepwise);
-    const auto quantum =
-        measure(program, mode.name, mode.cores, mode.checkers, soc::Engine::kQuantum);
-    const double speedup =
-        stepwise.mips() > 0.0 ? quantum.mips() / stepwise.mips() : 0.0;
-    speedups.push_back(speedup);
-    table.add_row({mode.name, "stepwise", std::to_string(stepwise.instructions),
-                   Table::num(stepwise.host_seconds, 3), Table::num(stepwise.mips(), 2),
-                   "1.00"});
-    table.add_row({mode.name, "quantum", std::to_string(quantum.instructions),
-                   Table::num(quantum.host_seconds, 3), Table::num(quantum.mips(), 2),
-                   Table::num(speedup, 2)});
-    samples.push_back(stepwise);
-    samples.push_back(quantum);
-  }
-  table.print();
-
-  FILE* json = std::fopen("BENCH_core_throughput.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"bench\": \"core_throughput\",\n");
-    std::fprintf(json, "  \"workload\": \"%s\",\n  \"iterations\": %u,\n",
-                 profile.name.c_str(), iterations);
-    std::fprintf(json, "  \"thread_count\": %u,\n", bench::thread_count());
-    std::fprintf(json, "  \"samples\": [\n");
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const auto& s = samples[i];
-      std::fprintf(json,
-                   "    {\"mode\": \"%s\", \"engine\": \"%s\", \"instructions\": %llu, "
-                   "\"host_seconds\": %.6f, \"mips\": %.3f}%s\n",
-                   s.mode.c_str(), s.engine.c_str(),
-                   static_cast<unsigned long long>(s.instructions), s.host_seconds,
-                   s.mips(), i + 1 < samples.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n  \"speedup\": {");
-    for (std::size_t i = 0; i < std::size(modes); ++i) {
-      std::fprintf(json, "\"%s\": %.3f%s", modes[i].name, speedups[i],
-                   i + 1 < std::size(modes) ? ", " : "");
-    }
-    std::fprintf(json, "}\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote BENCH_core_throughput.json\n");
-  }
-  return 0;
-}
-
 // ---------------------------------------------------------------------------
 // Batched co-simulation mode (--cosim): dual/triple verified-run throughput
-// under all three engines (stepwise reference, kQuantum, kQuantumBounded).
-// Exits non-zero unless dual-mode kQuantumBounded reaches 2x stepwise MIPS
-// (the CI gate) AND every engine produced identical detection/segment/cycle
-// results (the equivalence spot-check riding along with the perf gate).
+// under both engines (stepwise reference and kQuantumBounded). Exits non-zero
+// unless dual-mode kQuantumBounded reaches 2x stepwise MIPS (the CI gate) AND
+// both engines produced identical detection/segment/cycle results (the
+// equivalence spot-check riding along with the perf gate).
 // ---------------------------------------------------------------------------
 
 int run_cosim_mode() {
@@ -257,7 +166,7 @@ int run_cosim_mode() {
       {"dual", 2, {1}},
       {"triple", 3, {1, 2}},
   };
-  const soc::Engine engines[] = {soc::Engine::kStepwise, soc::Engine::kQuantum,
+  const soc::Engine engines[] = {soc::Engine::kStepwise,
                                  soc::Engine::kQuantumBounded};
 
   const auto reps = static_cast<u32>(bench::env_u64("FLEX_BENCH_REPS", 3));
@@ -307,13 +216,7 @@ int run_cosim_mode() {
       if (engine == soc::Engine::kStepwise) {
         reference = stats;
         stepwise_mips = sample.mips();
-      } else if (stats.main_cycles != reference.main_cycles ||
-                 stats.completion_cycles != reference.completion_cycles ||
-                 stats.segments_produced != reference.segments_produced ||
-                 stats.segments_verified != reference.segments_verified ||
-                 stats.segments_failed != reference.segments_failed ||
-                 stats.mem_entries != reference.mem_entries ||
-                 stats.backpressure_events != reference.backpressure_events) {
+      } else if (!same_verified_results(reference, stats)) {
         identical = false;
         std::fprintf(stderr, "FAIL: %s/%s diverged from stepwise\n", mode.name,
                      sample.engine.c_str());
@@ -391,9 +294,9 @@ int run_cosim_mode() {
 //
 // Two parts:
 //  * A contended gate on the smallest shared-checker topology (two producers,
-//    one checker): the bounded engine's parked-producer relaxation must beat
-//    the strict-leapfrog (kQuantum) path by >= 1.5x MIPS — the regime where
-//    pre-refactor scheduling dragged the whole SoC to the strict bound.
+//    one checker): the bounded engine's parked-producer relaxation must reach
+//    >= 2x the stepwise reference's MIPS — the regime where a strict-leapfrog
+//    schedule drags the whole SoC to one instruction per round.
 //  * A throughput sweep over simulated core counts 2 -> 64 in two topology
 //    families: independent producer/checker pairs and shared-checker groups
 //    (three producers per checker). Every sweep point is checked identical
@@ -486,27 +389,23 @@ int run_scale_mode() {
   };
 
   // Part 1: the contended gate (dual-verified work through one shared
-  // checker). kQuantum is the strict-fallback baseline: every parked-producer
-  // round collapses to the leapfrog. The refactored bounded engine keeps the
-  // parked producers streaming.
+  // checker), measured against the stepwise reference. The bounded engine
+  // keeps the parked producer streaming instead of falling back to its
+  // strict bound.
   const std::vector<soc::RoleBinding> contended = {{0, {2}}, {1, {2}}};
   const auto c_step = measure_scale("contended", 3, gate_iterations, contended,
                                     soc::Engine::kStepwise, reps);
-  const auto c_strict = measure_scale("contended", 3, gate_iterations, contended,
-                                      soc::Engine::kQuantum, reps);
   const auto c_bounded = measure_scale("contended", 3, gate_iterations, contended,
                                        soc::Engine::kQuantumBounded, reps);
-  check_identity(c_step, c_strict);
   check_identity(c_step, c_bounded);
   samples.push_back(c_step);
-  samples.push_back(c_strict);
   samples.push_back(c_bounded);
   const double contended_speedup =
-      c_strict.mips() > 0.0 ? c_bounded.mips() / c_strict.mips() : 0.0;
-  std::printf("contended 2-producers/1-checker: stepwise %.2f, strict %.2f, "
-              "bounded %.2f MIPS (bounded/strict %.2fx, %llu parked bursts, "
+      c_step.mips() > 0.0 ? c_bounded.mips() / c_step.mips() : 0.0;
+  std::printf("contended 2-producers/1-checker: stepwise %.2f, bounded %.2f "
+              "MIPS (bounded/stepwise %.2fx, %llu parked bursts, "
               "%llu handoffs)\n\n",
-              c_step.mips(), c_strict.mips(), c_bounded.mips(), contended_speedup,
+              c_step.mips(), c_bounded.mips(), contended_speedup,
               static_cast<unsigned long long>(c_bounded.cosim.parked_producer_bursts),
               static_cast<unsigned long long>(c_bounded.handoffs));
 
@@ -590,11 +489,11 @@ int run_scale_mode() {
   // where a best-of-1 ratio is noise.
   bool gate = true;
   if (bench::env_u64("FLEX_SCALE_GATE", 1) != 0 && perf_gates_enabled()) {
-    if (contended_speedup < 1.5) {
+    if (contended_speedup < 2.0) {
       gate = false;
       std::fprintf(stderr,
-                   "FAIL: contended bounded/strict speedup %.2fx below the "
-                   "1.5x gate\n", contended_speedup);
+                   "FAIL: contended bounded/stepwise speedup %.2fx below the "
+                   "2x gate\n", contended_speedup);
     }
   }
   return gate && identical ? 0 : 1;
@@ -661,11 +560,10 @@ int run_trace_jit_mode() {
     for (u32 rep = 0; rep < std::max(reps, 1u); ++rep) {
       const auto off_rep =
           measure(program, mode.name, mode.cores, mode.checkers,
-                  soc::Engine::kQuantumBounded, false, nullptr, &off_results,
-                  /*fused=*/!verified, /*reps_override=*/1);
-      const auto on_rep = measure(program, mode.name, mode.cores, mode.checkers,
-                                  soc::Engine::kQuantumBounded, true, &stats,
-                                  &on_results, true, /*reps_override=*/1);
+                  /*trace=*/false, /*fused=*/!verified, nullptr, &off_results);
+      const auto on_rep =
+          measure(program, mode.name, mode.cores, mode.checkers,
+                  /*trace=*/true, /*fused=*/true, &stats, &on_results);
       if (rep == 0 || off_rep.host_seconds < off.host_seconds) off = off_rep;
       if (rep == 0 || on_rep.host_seconds < on.host_seconds) on = on_rep;
     }
@@ -1215,9 +1113,9 @@ int run_analyze_mode() {
     arch::TraceCache::Stats seeded_tc;
     arch::TraceCache::Stats unseeded_tc;
     const soc::RunStats seeded_run =
-        dual_run(program, soc::Engine::kQuantum, true, &seeded_tc);
+        dual_run(program, soc::Engine::kQuantumBounded, true, &seeded_tc);
     const soc::RunStats unseeded_run =
-        dual_run(program, soc::Engine::kQuantum, false, &unseeded_tc);
+        dual_run(program, soc::Engine::kQuantumBounded, false, &unseeded_tc);
     row.seeded_identical = same_verified_results(seeded_run, unseeded_run);
     row.seeded = seeded_tc.seeded;
     row.trace_insts_seeded = seeded_tc.insts_from_traces;
@@ -1413,7 +1311,6 @@ BENCHMARK(BM_Partitioner<sched::hmr_partition>)->Name("BM_HmrPartition");
 #endif  // FLEX_NO_GOOGLE_BENCHMARK
 
 int main(int argc, char** argv) {
-  bool gbench = false;
   bool campaign = false;
   bool snapshot = false;
   bool trace = false;
@@ -1428,7 +1325,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--campaign-worker") == 0 && i + 1 < argc) {
       return fault::campaign_worker_main(argv[i + 1]);
     }
-    if (std::strncmp(argv[i], "--benchmark", 11) == 0) gbench = true;
     if (std::strcmp(argv[i], "--campaign") == 0) campaign = true;
     if (std::strcmp(argv[i], "--snapshot") == 0) snapshot = true;
     if (std::strcmp(argv[i], "--trace") == 0) trace = true;
@@ -1444,14 +1340,15 @@ int main(int argc, char** argv) {
   if (trace) return run_trace_jit_mode();
   if (snapshot) return run_snapshot_fork_mode();
   if (campaign) return run_campaign_throughput_mode();
-  if (!gbench) return run_throughput_mode();
 #ifndef FLEX_NO_GOOGLE_BENCHMARK
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 #else
-  std::fprintf(stderr, "built without google-benchmark; only throughput mode available\n");
-  return 1;
+  std::fprintf(stderr,
+               "built without google-benchmark; pick a mode: --cosim, --scale, "
+               "--trace, --campaign, --snapshot, --vuln or --analyze\n");
+  return 2;
 #endif
 }

@@ -1,7 +1,5 @@
 #include "arch/core.h"
 
-#include <cstdlib>
-
 #include "arch/trace.h"
 #include "common/archive.h"
 #include "common/check.h"
@@ -144,18 +142,6 @@ void Core::release_reservation() {
 }
 
 void Core::set_mem_port(MemPort* port) { port_ = port != nullptr ? port : cache_port_.get(); }
-
-// FLEX_FUSED=0 falls back to counting-mode batches (memory ops stepwise): a
-// debugging lever for isolating fused-path issues, and the baseline the trace
-// bench measures its verified-mode speedups against. Read once, same rule as
-// FLEX_TRACE/FLEX_ENGINE; per-core overrides go through set_fused_batching.
-bool Core::default_fused_batching() {
-  static const bool enabled = [] {
-    const char* value = std::getenv("FLEX_FUSED");
-    return value == nullptr || *value != '0';
-  }();
-  return enabled;
-}
 
 MemPort& Core::cache_mem_port() { return *cache_port_; }
 
@@ -431,7 +417,7 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
           u64 window = batch_end - instret_;
           if (stop_before - cycle_ < window) window = stop_before - cycle_;
           // Cursor setup (staging copy, headroom scan, publish) is per-span
-          // overhead; under the strict-leapfrog engine spans are a handful of
+          // overhead; under the strict-leapfrog fallback spans are a handful of
           // cycles and the cursor cannot pay for itself. Fuse only when the
           // span can plausibly amortize it — below the threshold the batch
           // runs in counting mode exactly as before the fused path existed.
@@ -554,8 +540,9 @@ trace_point:
   // becoming observable (no interrupt, quantum break or bound can land
   // mid-trace; hooks are passive by the fast path's precondition).
   // The outer guard is constexpr so the kCount instantiation (traces is a
-  // literal nullptr) drops the block entirely instead of tripping GCC's
-  // null-deref analysis on the statically dead calls.
+  // literal nullptr) drops the block entirely — execute_trace needs no kCount
+  // instantiation — instead of tripping GCC's null-deref analysis on the
+  // statically dead calls.
   if constexpr (M != FastMode::kCount)
   if (traces != nullptr) {
     while (cycle < limit && instret < instret_end && pc - base < end - base) {
@@ -1423,9 +1410,6 @@ trace_done:
 template void Core::execute_trace<Core::FastMode::kFull>(const Trace&, Addr&,
                                                          Cycle&, u64&, Addr&,
                                                          SegmentCursor*);
-template void Core::execute_trace<Core::FastMode::kCount>(const Trace&, Addr&,
-                                                          Cycle&, u64&, Addr&,
-                                                          SegmentCursor*);
 template void Core::execute_trace<Core::FastMode::kProduce>(const Trace&,
                                                             Addr&, Cycle&,
                                                             u64&, Addr&,

@@ -143,8 +143,8 @@ sim::Scenario campaign_scenario(const workloads::WorkloadProfile& profile,
                                                     : profile.iterations * 40)
       .soc(soc_config)
       .main_core(0)
-      .checkers({1});
-  if (campaign.engine.has_value()) scenario.engine(*campaign.engine);
+      .checkers({1})
+      .engine(campaign.engine);
   return scenario;
 }
 
@@ -167,7 +167,7 @@ FaultOutcome run_injection(sim::Session& victim, Rng& rng) {
   bool resolved = false;
   while (!resolved) {
     // Resolution conditions are sticky (reporter events accumulate, pop
-    // sequence numbers are monotone), so the quantum engine may advance a
+    // sequence numbers are monotone), so the bounded engine may advance a
     // short burst between probes without missing an outcome; detection
     // latency itself is timestamped by the reporter, not by this poll.
     const bool alive = victim.advance(kResolvePollStride);
@@ -231,7 +231,11 @@ u64 baseline_tag(const workloads::WorkloadProfile& profile,
   mix(warmup_rounds);
   mix(campaign.workload_iterations);
   mix(soc_config.num_cores);
-  mix(static_cast<u64>(campaign.engine.value_or(soc::default_engine())));
+  // Stored baselines key off these values: renumbering an engine would let a
+  // baseline warmed under another engine match.
+  static_assert(static_cast<u64>(soc::Engine::kStepwise) == 0 &&
+                static_cast<u64>(soc::Engine::kQuantumBounded) == 2);
+  mix(static_cast<u64>(campaign.engine));
   mix(salt);
   return h;
 }

@@ -7,7 +7,6 @@
 // mismatch report. One long run hosts many sequential injections.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -59,11 +58,11 @@ struct CampaignConfig {
   u32 shards = kDefaultCampaignShards;  ///< Independent campaign shards (>= 1).
   u32 threads = 0;  ///< Worker threads (0 = FLEX_THREADS / hardware_concurrency).
   CampaignMode mode = CampaignMode::kSnapshotFork;
-  /// Co-simulation engine the sessions run under (FLEX_ENGINE when unset).
-  /// Injection placement keys off advance() rendezvous points, so absolute
-  /// outcomes at a given seed are engine-specific; snapshot-fork vs
-  /// re-execution parity holds within any one engine.
-  std::optional<soc::Engine> engine;
+  /// Co-simulation engine the sessions run under. Injection placement keys
+  /// off advance() rendezvous points, so absolute outcomes at a given seed
+  /// are engine-specific; snapshot-fork vs re-execution parity holds within
+  /// either engine.
+  soc::Engine engine = soc::Engine::kQuantumBounded;
 };
 
 /// Final classification of one injection — the four-way taxonomy of

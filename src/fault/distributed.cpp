@@ -325,11 +325,12 @@ std::vector<u32> parse_csv(const std::string& text) {
 /// workload by profile name and the platform as a core count, so exec mode
 /// supports exactly the SocConfig::paper_default platforms.
 void spec_common(std::string& spec, const workloads::WorkloadProfile& profile,
-                 const soc::SocConfig& soc_config,
+                 const soc::SocConfig& soc_config, soc::Engine engine,
                  const DistributedConfig& dist, u32 worker,
                  const std::vector<u32>& assigned) {
   spec += "profile=" + profile.name + "\n";
   spec += "cores=" + std::to_string(soc_config.num_cores) + "\n";
+  spec += std::string("engine=") + soc::engine_name(engine) + "\n";
   spec += "dir=" + dist.dir + "\n";
   spec += "run_label=" + dist.run_label + "\n";
   spec += "assigned=" + csv(assigned) + "\n";
@@ -371,6 +372,16 @@ std::string spec_str(const std::map<std::string, std::string>& kv,
   return it == kv.end() ? std::string() : it->second;
 }
 
+/// Inverse of soc::engine_name. Any other text (a missing key, a number, an
+/// unknown name) is nullopt, and the worker rejects the spec.
+std::optional<soc::Engine> parse_engine(const std::string& name) {
+  for (const soc::Engine engine :
+       {soc::Engine::kStepwise, soc::Engine::kQuantumBounded}) {
+    if (name == soc::engine_name(engine)) return engine;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -392,7 +403,8 @@ DistributedCampaignResult run_distributed_campaign(
   if (dist.use_exec) {
     spawn_exec = [&](u32 worker, const std::vector<u32>& assigned) {
       std::string spec = "kind=campaign\n";
-      spec_common(spec, profile, soc_config, dist, worker, assigned);
+      spec_common(spec, profile, soc_config, campaign.engine, dist, worker,
+                  assigned);
       spec += "target_faults=" + std::to_string(campaign.target_faults) + "\n";
       spec += "warmup_rounds=" + std::to_string(campaign.warmup_rounds) + "\n";
       spec += "gap_rounds=" + std::to_string(campaign.gap_rounds) + "\n";
@@ -403,10 +415,6 @@ DistributedCampaignResult run_distributed_campaign(
       spec += std::string("mode=") +
               (campaign.mode == CampaignMode::kSnapshotFork ? "fork" : "reexec") +
               "\n";
-      if (campaign.engine.has_value()) {
-        spec += "engine=" +
-                std::to_string(static_cast<int>(*campaign.engine)) + "\n";
-      }
       return write_spec_file(dist, worker, spec);
     };
   }
@@ -440,7 +448,8 @@ DistributedVulnResult run_distributed_vuln_campaign(
   if (dist.use_exec) {
     spawn_exec = [&](u32 worker, const std::vector<u32>& assigned) {
       std::string spec = "kind=vuln\n";
-      spec_common(spec, profile, soc_config, dist, worker, assigned);
+      spec_common(spec, profile, soc_config, config.engine, dist, worker,
+                  assigned);
       spec += "target_faults=" + std::to_string(config.target_faults) + "\n";
       spec += "warmup_rounds=" + std::to_string(config.warmup_rounds) + "\n";
       spec += "gap_rounds=" + std::to_string(config.gap_rounds) + "\n";
@@ -453,10 +462,6 @@ DistributedVulnResult run_distributed_vuln_campaign(
               (config.mode == CampaignMode::kSnapshotFork ? "fork" : "reexec") +
               "\n";
       spec += std::string("root_cause=") + (config.root_cause ? "1" : "0") + "\n";
-      if (config.engine.has_value()) {
-        spec += "engine=" + std::to_string(static_cast<int>(*config.engine)) +
-                "\n";
-      }
       if (!config.components.empty()) {
         std::vector<u32> comp_ids;
         for (Component c : config.components) {
@@ -486,7 +491,9 @@ int campaign_worker_main(const std::string& spec_path) {
 
   const std::string kind = spec_str(kv, "kind");
   const std::string profile_name = spec_str(kv, "profile");
-  if ((kind != "campaign" && kind != "vuln") || profile_name.empty()) {
+  const std::optional<soc::Engine> engine = parse_engine(spec_str(kv, "engine"));
+  if ((kind != "campaign" && kind != "vuln") || profile_name.empty() ||
+      !engine.has_value()) {
     std::fprintf(stderr, "campaign worker: malformed spec %s\n",
                  spec_path.c_str());
     return 2;
@@ -513,10 +520,7 @@ int campaign_worker_main(const std::string& spec_path) {
     campaign.mode = spec_str(kv, "mode") == "reexec"
                         ? CampaignMode::kWarmupReexecution
                         : CampaignMode::kSnapshotFork;
-    if (kv.count("engine") != 0) {
-      campaign.engine =
-          static_cast<soc::Engine>(spec_u64(kv, "engine", 0));
-    }
+    campaign.engine = *engine;
     const std::vector<u32> quota =
         detail::shard_quotas(campaign.target_faults, campaign.shards);
     const std::function<CampaignStats(u32, BaselineStore*)> run_shard =
@@ -544,9 +548,7 @@ int campaign_worker_main(const std::string& spec_path) {
                     ? CampaignMode::kWarmupReexecution
                     : CampaignMode::kSnapshotFork;
   config.root_cause = spec_u64(kv, "root_cause", 0) != 0;
-  if (kv.count("engine") != 0) {
-    config.engine = static_cast<soc::Engine>(spec_u64(kv, "engine", 0));
-  }
+  config.engine = *engine;
   for (u32 c : parse_csv(spec_str(kv, "components"))) {
     if (c >= kComponentCount) return 2;
     config.components.push_back(static_cast<Component>(c));

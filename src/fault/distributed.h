@@ -85,7 +85,9 @@ DistributedVulnResult run_distributed_vuln_campaign(
     const VulnConfig& config, const DistributedConfig& dist);
 
 /// Exec-mode worker entry point: parse `spec_path`, run the assigned shards,
-/// write their result files. Returns a process exit code (0 on success).
+/// write their result files. Returns a process exit code: 0 on success, 2 on
+/// a malformed spec. An unknown kind or engine name or an out-of-range
+/// component is rejected before any shard runs.
 /// Wired to `--campaign-worker <spec>` in the benchmark binary.
 int campaign_worker_main(const std::string& spec_path);
 

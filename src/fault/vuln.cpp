@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "arch/core.h"
 #include "arch/memory.h"
@@ -215,6 +216,27 @@ constexpr u64 kDetectPollStride = 256;
 /// the golden run's main-core user-instruction count far below this.
 constexpr u64 kAlignSpinCap = 100'000;
 
+u64 main_ui(sim::Session& session) {
+  return session.soc().core(kMainCore).user_instret();
+}
+
+/// Advance `session` until its main core has retired `target` user
+/// instructions, at most kAlignSpinCap advance() calls. advance() budgets cap
+/// the instructions retired across all cores, so a budget of the remaining
+/// gap never overshoots. `stop` runs after every call and ends the walk when
+/// it returns true. `alive` is the session's last advance() result; returns
+/// the new one.
+template <typename Stop>
+bool align_main_ui(sim::Session& session, bool alive, u64 target, Stop&& stop) {
+  for (u64 spins = 0; alive && !session.stalled() && main_ui(session) < target &&
+                      spins < kAlignSpinCap;
+       ++spins) {
+    alive = session.advance(std::min<u64>(target - main_ui(session), 2048));
+    if (stop()) break;
+  }
+  return alive;
+}
+
 sim::Scenario vuln_scenario(const workloads::WorkloadProfile& profile,
                             const soc::SocConfig& soc_config,
                             const VulnConfig& config, u64 seed) {
@@ -228,8 +250,8 @@ sim::Scenario vuln_scenario(const workloads::WorkloadProfile& profile,
       .checkers({1})
       // Whole-SoC faults can wedge the machine (e.g. a corrupted main-core pc
       // halting without task exit): that is the DUE outcome, not a crash.
-      .tolerate_stall(true);
-  if (config.engine.has_value()) scenario.engine(*config.engine);
+      .tolerate_stall(true)
+      .engine(config.engine);
   return scenario;
 }
 
@@ -303,10 +325,8 @@ InjectionRecord run_one_injection(sim::Session& victim, Component component,
   const soc::Snapshot snap = victim.snapshot();
   sim::Session golden = victim.fork(snap);
   const u64 golden_base = golden.total_instret();
-  golden.advance(config.horizon);
-  executed += golden.total_instret() - golden_base;
-  const u64 golden_main_ui = golden.soc().core(kMainCore).user_instret();
-  const soc::Snapshot golden_end = golden.snapshot();
+  const bool golden_alive = golden.advance(config.horizon);
+  const u64 golden_main_ui = main_ui(golden);
 
   InjectionRecord rec;
   rec.site = random_site(victim.soc(), component, rng);
@@ -364,32 +384,26 @@ InjectionRecord run_one_injection(sim::Session& victim, Component component,
     if (!alive) break;
   }
 
-  // Phase B — alignment + architectural compare. Align the victim's main-core
-  // user-instruction count to the golden run's: advance() budgets cap retired
-  // instructions, so repeated advance(golden_ui - ui) converges without ever
-  // overshooting. Detections during alignment still count.
+  // Phase B — alignment + architectural compare, at equal main-core
+  // user-instruction count. The victim first catches up to the golden run;
+  // detections during alignment still count. The engine splits each budget
+  // between main core and checker by where its bursts end, so the victim's
+  // polled strides may also have carried its main core past the golden run's
+  // single horizon advance: then the golden fork catches up instead.
   if (!decided) {
-    const auto main_ui = [&] {
-      return victim.soc().core(kMainCore).user_instret();
-    };
-    u64 spins = 0;
-    while (alive && !victim.stalled() && main_ui() < golden_main_ui &&
-           spins < kAlignSpinCap) {
-      ++spins;
-      alive = victim.advance(std::min<u64>(golden_main_ui - main_ui(), 2048));
-      if (detect_scan()) {
-        decided = true;
-        break;
-      }
-    }
+    alive = align_main_ui(victim, alive, golden_main_ui,
+                          [&] { return decided = detect_scan(); });
     if (!decided) {
-      if (victim.stalled() || (alive && main_ui() < golden_main_ui)) {
+      if (victim.stalled() || (alive && main_ui(victim) < golden_main_ui)) {
         // Wedged, or live but unable to re-align: unrecoverable either way.
         rec.outcome = OutcomeKind::kDue;
       } else {
         // Aligned — or finished early and clean (a fault that legitimately
-        // shortened the run shows up as divergence in the compare).
+        // shortened or lengthened the run shows up as divergence in the
+        // compare).
+        align_main_ui(golden, golden_alive, main_ui(victim), [] { return false; });
         const soc::Snapshot victim_end = victim.snapshot();
+        const soc::Snapshot golden_end = golden.snapshot();
         const bool equal =
             main_state_equal(victim_end, golden_end, excl_reg) &&
             memory_equal(victim_end.memory, golden_end.memory, excl_word);
@@ -397,6 +411,7 @@ InjectionRecord run_one_injection(sim::Session& victim, Component component,
       }
     }
   }
+  executed += golden.total_instret() - golden_base;
   executed += victim.total_instret() - victim_base;
 
   // Root-cause attribution (SDC/DUE only): lockstep a flipped/clean fork pair

@@ -46,7 +46,7 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// DBC headroom (in stream entries) required before a backpressure-blocked
   /// producer may resume: the largest single instruction logs two entries
   /// (LR/SC, AMO). The stepwise driver's wake condition
-  /// (out_channels_have_space) and the quantum engine's end-of-quantum pop
+  /// (out_channels_have_space) and the bounded engine's end-of-quantum pop
   /// transition (pop_in) must use the same value or the two engines stop
   /// being schedule-identical.
   static constexpr u32 kProducerResumeHeadroom = 2;
@@ -287,7 +287,7 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// Pop from the in-channel, ending the current execution quantum when the
   /// pop could wake another core: freeing DBC space a backpressured producer
   /// waits on, or consuming a SegmentEnd (occupancy spill-rule / drain
-  /// transitions). Keeps the quantum engine's schedule bit-identical to the
+  /// transitions). Keeps the bounded engine's schedule bit-identical to the
   /// stepwise engine's.
   StreamItem::Kind pop_in(Cycle now);
   Cycle on_main_commit(const arch::CommitInfo& info);

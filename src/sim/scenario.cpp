@@ -11,7 +11,7 @@ namespace {
 
 /// FLEX_ANALYZE=0 disables the static-analysis clients (trace seeding + burst
 /// tightening) for sessions that don't call Scenario::analysis() explicitly.
-/// Read once, same rule as FLEX_TRACE / FLEX_ENGINE.
+/// Read once, same rule as FLEX_TRACE.
 bool default_analysis_enabled() {
   static const bool enabled = [] {
     const char* env = std::getenv("FLEX_ANALYZE");
@@ -151,7 +151,6 @@ Scenario& Scenario::programs(std::vector<isa::Program> programs) {
 
 Scenario& Scenario::engine(soc::Engine engine) {
   run_.engine = engine;
-  engine_set_ = true;
   return *this;
 }
 
@@ -212,12 +211,6 @@ soc::SocConfig Scenario::soc_config() const {
     config.flexstep.channel_capacity = *channel_capacity_;
   }
   if (trace_.has_value()) config.core.trace.enabled = *trace_;
-  return config;
-}
-
-soc::VerifiedRunConfig Scenario::run_config() const {
-  soc::VerifiedRunConfig config = run_;
-  if (!engine_set_) config.engine = soc::default_engine();
   return config;
 }
 

@@ -110,9 +110,8 @@ class Scenario {
 
   // ---- co-simulation driver ----
 
-  /// Engine selection. When never called, the FLEX_ENGINE environment
-  /// variable ("stepwise" / "quantum" / "bounded") picks the engine, default
-  /// kQuantum — so whole experiment binaries can be A/B'd without rebuilds.
+  /// Engine selection: kQuantumBounded unless set (see
+  /// VerifiedRunConfig::engine); kStepwise is the reference engine.
   Scenario& engine(soc::Engine engine);
   /// kQuantumBounded burst cap in instructions (0 = auto: one DBC segment /
   /// channel-capacity worth of work). See VerifiedRunConfig::skew_instructions.
@@ -130,7 +129,7 @@ class Scenario {
   /// The resolved SoC configuration (after cores()/topology auto-sizing).
   soc::SocConfig soc_config() const;
   /// The resolved co-simulation driver configuration.
-  soc::VerifiedRunConfig run_config() const;
+  const soc::VerifiedRunConfig& run_config() const { return run_; }
   /// Just the workload program (kernel-driver experiments compose it with
   /// their own scheduler instead of a VerifiedExecution). Single-role
   /// scenarios only.
@@ -162,7 +161,6 @@ class Scenario {
   std::optional<u64> channel_capacity_;
   std::optional<bool> trace_;
   std::optional<bool> analysis_;
-  bool engine_set_ = false;  ///< engine() called; otherwise FLEX_ENGINE rules.
   soc::VerifiedRunConfig run_;
 };
 
@@ -193,7 +191,7 @@ class Session {
   /// VerifiedExecution::stalled().
   bool stalled() const { return exec_->stalled(); }
   /// Relaxed-engine burst accounting (relaxed_bursts / strict_fallbacks /
-  /// max_skew_cycles ...; all-zero under other engines). Contention
+  /// max_skew_cycles ...; all-zero under stepwise). Contention
   /// regressions show up here before they show up in MIPS.
   const soc::CosimStats& cosim_stats() const { return exec_->cosim_stats(); }
   /// Waitlist arbitration decisions taken by the fabric so far.

@@ -1,11 +1,8 @@
 #include "soc/verified_run.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "isa/instruction.h"
 #include "soc/snapshot.h"
 
@@ -16,29 +13,9 @@ using arch::TrapAction;
 using arch::TrapCause;
 using fs::CoreUnit;
 
-Engine default_engine() {
-  // Read once: the answer must not change between two Scenario builds that
-  // are expected to evolve bit-identically (same rule as FLEX_TRACE).
-  static const Engine engine = [] {
-    const char* value = std::getenv("FLEX_ENGINE");
-    if (value == nullptr || *value == '\0') return Engine::kQuantum;
-    const std::string_view name(value);
-    if (name == "stepwise") return Engine::kStepwise;
-    if (name == "quantum") return Engine::kQuantum;
-    if (name == "bounded" || name == "quantum_bounded") {
-      return Engine::kQuantumBounded;
-    }
-    FLEX_CHECK_MSG(false,
-                   "FLEX_ENGINE must be one of stepwise / quantum / bounded");
-    return Engine::kQuantum;
-  }();
-  return engine;
-}
-
 const char* engine_name(Engine engine) {
   switch (engine) {
     case Engine::kStepwise: return "stepwise";
-    case Engine::kQuantum: return "quantum";
     case Engine::kQuantumBounded: return "bounded";
   }
   return "?";
@@ -536,9 +513,8 @@ bool VerifiedExecution::quantum_round(u64 max_instructions) {
   }
   ++cosim_.rounds;
 
-  const bool bounded = config_.engine == Engine::kQuantumBounded;
   u64 budget = max_instructions;
-  const Cycle bound = bounded ? bounded_quantum(*core, budget) : quantum_bound(*core);
+  const Cycle bound = bounded_quantum(*core, budget);
   if (role_of(core->id()) >= 0) {
     // Leave one instruction of headroom so the safety check below can fire
     // exactly like the stepwise driver's.
@@ -562,10 +538,8 @@ bool VerifiedExecution::quantum_round(u64 max_instructions) {
   FLEX_CHECK_MSG(core->cycle() != cycle_before || core->instret() != instret_before ||
                      core->status() != status_before,
                  "co-simulation deadlock: quantum round made no progress");
-  if (bounded) {
-    if (core->last_run_exit() == arch::RunExit::kQuantumBreak) ++cosim_.hook_breaks;
-    note_burst_skew(*core);
-  }
+  if (core->last_run_exit() == arch::RunExit::kQuantumBreak) ++cosim_.hook_breaks;
+  note_burst_skew(*core);
 
   if (role_of(core->id()) >= 0) {
     FLEX_CHECK_MSG(core->instret() <= config_.max_instructions,

@@ -19,38 +19,34 @@
 
 namespace flexstep::soc {
 
-/// Which execution engine drives the co-simulation.
+/// Which execution engine drives the co-simulation. The values are explicit
+/// because campaign baseline tags hash them (fault::baseline_tag), and those
+/// tags key warmup baselines kept on disk: 1 belonged to a retired strict
+/// engine and must never match again.
 enum class Engine : u8 {
-  kStepwise,  ///< Reference: one instruction per scheduling round (Core::step).
-  kQuantum,   ///< Batched: each round runs the picked core for as long as the
-              ///< stepwise scheduler would have kept picking it
-              ///< (Core::run_until). Bit-identical state evolution.
-  kQuantumBounded,  ///< Relaxed-skew batched: bursts may overrun the strict
-                    ///< cycle-leapfrog bound by up to a skew window wherever
-                    ///< the overrun is provably invisible — a producer while
-                    ///< its DBC channels guarantee headroom (no backpressure
-                    ///< decision can depend on deferred consumer pops) or
-                    ///< while every out-channel is parked on a fabric
-                    ///< waitlist (no pop can touch them at all), checkers up
-                    ///< to their attached producer's local clock (their pops
-                    ///< stay in that producer's past). Bursts still end at
-                    ///< every cross-core interaction point (segment publish,
-                    ///< space-freeing pop, backpressure block), and a
-                    ///< producer out of headroom with an attached consumer
-                    ///< falls back to a strict bound against just the
-                    ///< consumers on its own channels — so the observable
-                    ///< schedule, and with it every verdict, stat and cycle
-                    ///< count, stays bit-identical to kStepwise at every
-                    ///< topology. tests/test_exec_engine.cpp enforces this.
+  kStepwise = 0,  ///< Reference: one instruction per scheduling round (Core::step).
+  kQuantumBounded = 2,  ///< Default. Relaxed-skew batched (Core::run_until): each
+                        ///< round runs the picked core for a burst that may
+                        ///< overrun the strict cycle-leapfrog bound by up to a
+                        ///< skew window wherever the overrun is provably
+                        ///< invisible — a producer while its DBC channels
+                        ///< guarantee headroom (no backpressure decision can
+                        ///< depend on deferred consumer pops) or while every
+                        ///< out-channel is parked on a fabric waitlist (no pop
+                        ///< can touch them at all), checkers up to their attached
+                        ///< producer's local clock (their pops stay in that
+                        ///< producer's past). Bursts still end at every
+                        ///< cross-core interaction point (segment publish,
+                        ///< space-freeing pop, backpressure block), and a
+                        ///< producer out of headroom with an attached consumer
+                        ///< falls back to a strict bound against just the
+                        ///< consumers on its own channels — so the observable
+                        ///< schedule, and with it every verdict, stat and cycle
+                        ///< count, stays bit-identical to kStepwise at every
+                        ///< topology. tests/test_exec_engine.cpp enforces this.
 };
 
-/// The engine FLEX_ENGINE selects ("stepwise" / "quantum" / "bounded", also
-/// accepted: "quantum_bounded"); kQuantum when unset. Read once per process —
-/// sim::Scenario applies it whenever the experiment didn't pick an engine
-/// explicitly.
-Engine default_engine();
-
-/// Short lowercase name for tables/JSON ("stepwise", "quantum", "bounded").
+/// Short lowercase name for tables/JSON ("stepwise", "bounded").
 const char* engine_name(Engine engine);
 
 /// One producer/checker binding of the role-based topology: `producer`
@@ -79,9 +75,9 @@ struct VerifiedRunConfig {
   Cycle tick_period = us_to_cycles(1000.0);
   Cycle tick_cost = us_to_cycles(18.0);
 
-  /// Engine selection. kQuantum is the default hot path; kStepwise remains
-  /// available as the reference baseline (equivalence tests, bench baseline).
-  Engine engine = Engine::kQuantum;
+  /// Engine selection. kQuantumBounded is the default hot path; kStepwise
+  /// remains the reference baseline (equivalence tests, bench baseline).
+  Engine engine = Engine::kQuantumBounded;
 
   /// kQuantumBounded: cap on the instructions one relaxed burst may run
   /// (bounds the clock lead a burst can build over the other cores, and with
@@ -108,11 +104,9 @@ struct VerifiedRunConfig {
   std::vector<RoleBinding> roles;
 };
 
-/// Quantum-engine burst accounting (diagnostics; deliberately not part of
+/// Bounded-engine burst accounting (diagnostics; deliberately not part of
 /// RunStats, whose field-wise equality the bit-identity proofs compare).
-/// `rounds` counts every quantum_round() under kQuantum AND kQuantumBounded
-/// (stepwise drives no quanta); the remaining fields are kQuantumBounded-only
-/// and stay zero under the other engines.
+/// All-zero under kStepwise, which drives no quanta.
 struct CosimStats {
   u64 rounds = 0;           ///< Quantum scheduling rounds driven.
   u64 relaxed_bursts = 0;   ///< Bursts freed from the strict leapfrog bound.
@@ -174,12 +168,11 @@ class VerifiedExecution final : public arch::TrapHandler {
   /// core with the smallest local clock). Returns false once finished.
   bool step_round();
 
-  /// Advance the co-simulation by one quantum: pick the runnable core with
-  /// the smallest local clock and run it for exactly as long as the stepwise
-  /// scheduler would have kept picking it (bounded by the other runnable
-  /// cores' clocks; hooks end the quantum early on cross-core events such as
-  /// SegmentEnd pushes and backpressure-relieving pops). Runs at most
-  /// `max_instructions` commits. Returns false once finished.
+  /// Advance the co-simulation by one bounded-engine burst: pick the runnable
+  /// core with the smallest local clock and run it up to the bound
+  /// bounded_quantum() derives (hooks end the burst early on cross-core
+  /// events such as SegmentEnd pushes and backpressure-relieving pops). Runs
+  /// at most `max_instructions` commits. Returns false once finished.
   bool quantum_round(u64 max_instructions = ~u64{0});
 
   /// Advance by ~`instruction_budget` retired instructions (summed across the
@@ -205,7 +198,7 @@ class VerifiedExecution final : public arch::TrapHandler {
   /// (co-simulation deadlock — the DUE signature). Latched until restore().
   bool stalled() const { return stalled_; }
 
-  /// Burst accounting of the relaxed engine (all-zero under other engines).
+  /// Burst accounting of the bounded engine (all-zero under stepwise).
   const CosimStats& cosim_stats() const { return cosim_; }
   /// The resolved kQuantumBounded burst cap (config_.skew_instructions, or
   /// the auto default derived from the SoC's FlexStep geometry).
@@ -238,7 +231,8 @@ class VerifiedExecution final : public arch::TrapHandler {
   arch::Core* pick_next_core();
   /// Local-clock bound up to which `chosen` would keep being picked by the
   /// stepwise scheduler (smallest-cycle-first, producers-then-checkers-order
-  /// tie-break), assuming no other core's state changes meanwhile.
+  /// tie-break), assuming no other core's state changes meanwhile — the
+  /// bounded engine's strict fallback.
   Cycle quantum_bound(const arch::Core& chosen) const;
   /// kQuantumBounded bound: relax the strict bound where provably invisible
   /// (see Engine::kQuantumBounded), shrinking `budget` to the producer's

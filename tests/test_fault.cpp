@@ -413,6 +413,27 @@ TEST(VulnCampaign, ClassifiesEveryInjectionAcrossAllComponents) {
   }
 }
 
+TEST(VulnCampaign, BoundedEngineComparesAtEqualMainCoreProgress) {
+  // Branch-predictor, DBC-metadata and checker-latch flips cannot change the
+  // main core's registers, so an SDC verdict needs a root-cause divergence.
+  // The bounded engine may carry the victim's main core past the golden run
+  // while it polls for detections; comparing those unaligned states used to
+  // report such flips as SDC (2 of these 21).
+  auto config = small_vuln(21);
+  config.engine = soc::Engine::kQuantumBounded;
+  config.root_cause = true;
+  config.components = {Component::kBranchPred, Component::kDbcMeta,
+                       Component::kCheckerState};
+  const auto report = run_vuln_campaign(workloads::find_profile("swaptions"),
+                                        soc::SocConfig::paper_default(2), config);
+  EXPECT_EQ(report.injected, 21u);
+  for (const auto& record : report.records) {
+    if (record.outcome == OutcomeKind::kSdc) {
+      EXPECT_TRUE(record.rc_valid) << describe(record.site);
+    }
+  }
+}
+
 TEST(VulnCampaign, DeterministicAcrossModesAndThreads) {
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);

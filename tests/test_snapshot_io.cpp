@@ -477,5 +477,36 @@ TEST(Distributed, TwoWorkerCampaignMatchesSingleProcessAndResumes) {
   std::filesystem::remove_all(dir, ec);
 }
 
+TEST(Distributed, WorkerRejectsUnknownEngineBeforeRunning) {
+  // Exec-mode specs name the engine (soc::engine_name); a number or a name
+  // this build has no engine for is a malformed spec: exit 2, no shard runs.
+  // The same spec naming a real engine runs its shard (control).
+  const std::string dir = "test_snapshot_io_bad_spec";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir);
+  const struct {
+    const char* kind;
+    const char* engine;
+    int exit_code;
+  } cases[] = {{"campaign", "quantum", 2}, {"vuln", "7", 2}, {"campaign", "bounded", 0}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.engine);
+    const std::string label = std::string(c.kind) + "_" + c.engine;
+    const std::string spec = std::string("kind=") + c.kind +
+                             "\nprofile=swaptions\ncores=2\nengine=" + c.engine +
+                             "\ndir=" + dir + "\nrun_label=" + label +
+                             "\nassigned=0\ntarget_faults=1\nwarmup_rounds=1000"
+                             "\ngap_rounds=100\nhorizon=1000\nshards=1"
+                             "\nworkload_iterations=200\n";
+    const std::string path = dir + "/" + label + ".spec";
+    ASSERT_TRUE(io::write_file_atomic(path, spec.data(), spec.size()).ok());
+    EXPECT_EQ(fault::campaign_worker_main(path), c.exit_code);
+    EXPECT_EQ(std::filesystem::exists(dir + "/" + label + "_shard_0.fxar"),
+              c.exit_code == 0);
+  }
+  std::filesystem::remove_all(dir, ec);
+}
+
 }  // namespace
 }  // namespace flexstep

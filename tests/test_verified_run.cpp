@@ -219,7 +219,6 @@ TEST(VerifiedRunDeathTest, QuantumDriverCrashesOnDeadlockInsteadOfSpinning) {
     while (exec.advance(10'000)) {
     }
   };
-  EXPECT_DEATH(deadlock(soc::Engine::kQuantum), "co-simulation deadlock");
   EXPECT_DEATH(deadlock(soc::Engine::kQuantumBounded), "co-simulation deadlock");
   EXPECT_DEATH(deadlock(soc::Engine::kStepwise), "co-simulation deadlock");
 }
