@@ -18,8 +18,6 @@ struct TraceConfig {
   u32 max_insts = 192;
   /// Blocks shorter than this are not worth a trace dispatch.
   u32 min_insts = 2;
-  /// log2 of the direct-mapped trace table size.
-  u32 slots_log2 = 12;
 };
 
 struct CoreConfig {

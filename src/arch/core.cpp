@@ -123,7 +123,7 @@ u32 Core::seed_traces(const std::vector<Addr>& seeds) {
   for (const Addr pc : seeds) {
     const LoadedImage* image = images_.find(pc);
     if (image == nullptr) continue;
-    if (trace_cache_->seed(pc, image->code.data(), image->base, image->end)) {
+    if (trace_cache_->seed(trace_cache_->table(*image), pc)) {
       ++covered;
     }
   }
@@ -416,7 +416,7 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
           // short quantum could consume.
           u64 window = batch_end - instret_;
           if (stop_before - cycle_ < window) window = stop_before - cycle_;
-          // Cursor setup (staging copy, headroom scan, publish) is per-span
+          // Cursor setup (window open, headroom scan, publish) is per-span
           // overhead; under the strict-leapfrog fallback spans are a handful of
           // cycles and the cursor cannot pay for itself. Fuse only when the
           // span can plausibly amortize it — below the threshold the batch
@@ -426,6 +426,9 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
               fused_batching_ && window >= kFusedMinWindow
                   ? hooks_->open_segment_cursor(*this, window)
                   : nullptr;
+          // An opened cursor holds a window on the hook's stream until
+          // on_commit_batch closes it, even if no instruction commits.
+          const bool opened = cursor != nullptr;
           if (cursor != nullptr && cursor->produce && port_ != cache_port_.get()) {
             // Producer staging inlines the cache-port memory path; with any
             // other port installed the fused path would bypass it.
@@ -438,7 +441,9 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
           } else {
             run_fast_path<FastMode::kReplay>(stop_before, batch_end, cursor);
           }
-          if (instret_ != before) hooks_->on_commit_batch(*this, instret_ - before);
+          if (instret_ != before || opened) {
+            hooks_->on_commit_batch(*this, instret_ - before);
+          }
           if (status_ != Status::kRunning || cycle_ >= stop_before ||
               instret_ >= instret_end || quantum_break_) {
             break;
@@ -491,16 +496,33 @@ template <Core::FastMode M>
 void Core::run_fast_path(Cycle stop_before, u64 instret_end,
                          SegmentCursor* cursor) {
   (void)cursor;  // unused in kFull/kCount instantiations
+  // Counting mode: live hooks must see every memory instruction (CommitInfo
+  // logging / replay verification / backpressure pre-check), so the fast set
+  // shrinks to the non-memory prefix [kAdd, kJalr] and traces stay off
+  // (recorded traces embed inlined loads/stores). The fused modes widen the
+  // set back to [kAdd, kSd]: the segment cursor is a window on the stream
+  // storage that takes the MAL records (produce) or holds the log entries
+  // (replay), so plain loads/stores commit in-loop and traces re-engage.
+  TraceCache* const traces =
+      (M == FastMode::kCount) ? nullptr : trace_cache_.get();
+  constexpr u8 max_fast_op = static_cast<u8>(
+      M == FastMode::kCount ? Opcode::kJalr : Opcode::kSd);
+
   // Hoisted fetch window: while the PC stays inside the cached image,
   // straight-line fetch is a bounds check and an indexed load off the
-  // pre-decoded stream (no registry lookup).
+  // pre-decoded stream (no registry lookup), and trace lookup an indexed
+  // load off the image's trace table.
   Addr base = 0;
   Addr end = 0;
   const Instruction* code = nullptr;
+  TraceCache::Table* table = nullptr;
   if (image_ != nullptr) {
     base = image_->base;
     end = image_->end;
     code = image_->code.data();
+    if constexpr (M != FastMode::kCount) {
+      if (traces != nullptr) table = &traces->table(*image_);
+    }
   }
 
   // The interrupt poll folds into the loop bound: software interrupts cannot
@@ -519,18 +541,6 @@ void Core::run_fast_path(Cycle stop_before, u64 instret_end,
   u64 instret = instret_;
   const u64 instret_start = instret_;
   Addr last_line = last_fetch_line_;
-  // Counting mode: live hooks must see every memory instruction (CommitInfo
-  // logging / replay verification / backpressure pre-check), so the fast set
-  // shrinks to the non-memory prefix [kAdd, kJalr] and traces stay off
-  // (recorded traces embed inlined loads/stores). The fused modes widen the
-  // set back to [kAdd, kSd]: the segment cursor carries the per-quantum MAL
-  // staging (produce) or the pre-staged log window (replay), so plain
-  // loads/stores commit in-loop and traces re-engage.
-  TraceCache* const traces =
-      (M == FastMode::kCount) ? nullptr : trace_cache_.get();
-  constexpr u8 max_fast_op = static_cast<u8>(
-      M == FastMode::kCount ? Opcode::kJalr : Opcode::kSd);
-
 trace_point:
   // Trace dispatch: reached on fast-path entry and after every control
   // transfer (the only places a recorded region can begin). Chain hot traces
@@ -546,9 +556,9 @@ trace_point:
   if constexpr (M != FastMode::kCount)
   if (traces != nullptr) {
     while (cycle < limit && instret < instret_end && pc - base < end - base) {
-      const Trace* t = traces->lookup(pc);
+      const Trace* t = traces->lookup(*table, pc);
       if (t == nullptr) {
-        t = traces->notice_entry(pc, code, base, end);
+        t = traces->notice_entry(*table, pc);
         if (t == nullptr) break;
       }
       // Replay serves loads/stores from the staged log at a deterministic
@@ -593,7 +603,7 @@ trace_point:
           bool kinds_match = true;
           for (u32 i = 0; i < t->mem_ops; ++i) {
             const u8 expect =
-                t->mem_kinds[i] != 0 ? cursor->store_kind : cursor->load_kind;
+                t->mem_kinds()[i] != 0 ? cursor->store_kind : cursor->load_kind;
             if (cursor->slots[cursor->used + i].kind != expect) {
               kinds_match = false;
               break;
@@ -614,6 +624,9 @@ trace_point:
       base = img->base;
       end = img->end;
       code = img->code.data();
+      if constexpr (M != FastMode::kCount) {
+        if (traces != nullptr) table = &traces->table(*img);
+      }
     }
     const Instruction& inst = code[(pc - base) / 4];
 
@@ -1013,7 +1026,7 @@ void Core::execute_trace(const Trace& t, Addr& pc, Cycle& cycle, u64& instret,
   if ((t.entry_pc >> 6) != last_line) TRACE_PROBE(t.entry_pc);
   Addr next_pc = t.exit_pc;
   u64* const regs = regs_.data();
-  const TraceOp* op = t.ops.data();
+  const TraceOp* op = t.ops();
 
 #if FLEX_TRACE_THREADED
 #define FLEX_TRACE_LABEL(name) &&lbl_##name,

@@ -247,15 +247,18 @@ class Core : private ReservationObserver {
   ///     instructions bail to step() (full CommitInfo + backpressure
   ///     pre-check) and traces stay off — with every load/store leaving the
   ///     loop per instruction, trace replay would only add overhead.
-  ///   * kProduce — segment cursor staging MAL records: plain loads/stores
-  ///     execute normally and append (addr, data, post-commit cycle) records;
-  ///     traces on, gated on cursor headroom.
-  ///   * kReplay  — segment cursor holding staged log entries: loads are
-  ///     served from the log, stores verified against it, mismatches reported
-  ///     through the cursor callback at the pre-commit clock; traces on,
-  ///     gated on a kind-for-kind match of the staged prefix.
+  ///   * kProduce — segment cursor over free stream storage (the DBC
+  ///     channel ring itself): plain loads/stores execute normally and write
+  ///     (addr, data, post-commit cycle) records in place; traces on, gated
+  ///     on cursor headroom.
+  ///   * kReplay  — segment cursor over the queued log entries, read in
+  ///     place: loads are served from the log, stores verified against it,
+  ///     mismatches reported through the cursor callback at the pre-commit
+  ///     clock; traces on, gated on a kind-for-kind match of the cursor's
+  ///     next records.
   /// The caller reports the retired count of kCount/kProduce/kReplay spans
-  /// through on_commit_batch, which also publishes/retires cursor records.
+  /// through on_commit_batch, which also publishes/retires cursor records
+  /// and closes the cursor.
   enum class FastMode : u8 { kFull, kCount, kProduce, kReplay };
 
   /// Hot loop of the batched engine: executes fast-path instructions (ALU,

@@ -71,25 +71,29 @@ struct MemRecord {
 
 /// Bulk segment-stream seam between the batched engine and a logging/replay
 /// hook. A hook that can absorb plain loads and stores in bulk hands the
-/// engine a cursor over preallocated record slots valid for one quantum:
+/// engine a cursor over a contiguous run of record slots, valid for one
+/// batched span. The slots are the hook's stream storage itself (FlexStep:
+/// a window on a DBC channel ring), so neither side copies records:
 ///
-///   * produce == true  — the engine executes memory ops normally and appends
-///     one record per plain load/store (addr, data, post-commit cycle). The
-///     hook publishes the records into its stream inside on_commit_batch,
-///     before any per-instruction path can run again.
-///   * produce == false — the engine serves loads FROM the staged records and
-///     verifies store addr/data against them, charging `replay_stall` per
-///     access and reporting divergence through `on_mismatch` (carrying the
-///     pre-commit clock, exactly when a stepwise port call would have seen
-///     it). `used` counts records consumed; `last_cycle` holds the clock of
-///     the last replayed access so the hook can retire the consumed prefix
-///     with the right timestamp.
+///   * produce == true  — the slots are free stream storage. The engine
+///     executes memory ops normally and writes one record per plain
+///     load/store (addr, data, post-commit cycle). The hook publishes the
+///     written prefix inside on_commit_batch, before any per-instruction path
+///     can run again.
+///   * produce == false — the slots are the queued stream entries. The engine
+///     serves loads FROM them and verifies store addr/data against them,
+///     charging `replay_stall` per access and reporting divergence through
+///     `on_mismatch` (carrying the pre-commit clock, exactly when a stepwise
+///     port call would have seen it). `used` counts records consumed;
+///     `last_cycle` holds the clock of the last replayed access so the hook
+///     can retire the consumed prefix with the right timestamp.
 ///
-/// The capacity is the hook's guarantee that every staged access passes its
-/// backpressure / availability checks; the engine bails to the stepwise path
-/// the moment the cursor is full (or, replaying, the next staged kind does
-/// not match the instruction). A cursor is never live across a run_until
-/// return: on_commit_batch always consumes it first.
+/// The capacity is the hook's guarantee that every access it covers passes
+/// its backpressure / availability checks; the engine bails to the stepwise
+/// path the moment the cursor is full (or, replaying, the next record's kind
+/// does not match the instruction). A cursor is never live across a
+/// run_until return: on_commit_batch always closes it first, also for a span
+/// that committed nothing.
 struct SegmentCursor {
   MemRecord* slots = nullptr;
   u32 capacity = 0;
@@ -142,8 +146,9 @@ class CoreHooks {
   /// be state-equivalent to `count` successive on_commit calls for such
   /// instructions (commit_batch_limit guarantees no boundary sits inside).
   /// When a segment cursor was opened for the batch, this call also publishes
-  /// (producer) or retires (consumer) the staged records — it runs before any
-  /// per-instruction hook path can observe the stream again.
+  /// (producer) or retires (consumer) its records and closes it — it runs
+  /// before any per-instruction hook path can observe the stream again, and
+  /// runs with count == 0 when the span committed nothing.
   virtual void on_commit_batch(Core& core, u64 count) {
     (void)core;
     (void)count;
@@ -151,12 +156,12 @@ class CoreHooks {
 
   /// Bulk seam (see SegmentCursor): called once per batched span while the
   /// hook is non-passive and batchable. Return a cursor to let the engine keep
-  /// plain loads/stores on the fast path — staging produced records or
-  /// replay-verifying against staged ones — or nullptr to keep every memory
+  /// plain loads/stores on the fast path — recording produced records or
+  /// replay-verifying against queued ones — or nullptr to keep every memory
   /// instruction on the one-at-a-time path (the default). `max_entries` is
   /// the engine's upper bound on memory instructions the span can commit
-  /// (instruction budget capped by the cycle window); staging more slots than
-  /// that is wasted setup work, staging fewer is merely an earlier bail-out.
+  /// (instruction budget capped by the cycle window); a longer cursor is
+  /// never used up, a shorter one is merely an earlier bail-out.
   virtual SegmentCursor* open_segment_cursor(Core& core, u64 max_entries) {
     (void)core;
     (void)max_entries;

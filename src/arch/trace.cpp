@@ -1,6 +1,8 @@
 #include "arch/trace.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 
 #include "common/check.h"
 #include "isa/opcode.h"
@@ -50,13 +52,28 @@ i32 alu_pair_imm(Opcode op, i32 imm) { return op == Opcode::kSlli ? (imm & 63) :
 TraceCache::TraceCache(const TraceConfig& config, Memory& memory,
                        const TraceCostModel& cost)
     : config_(config), memory_(memory), cost_(cost) {
-  const std::size_t slots = std::size_t{1} << config_.slots_log2;
-  slot_mask_ = slots - 1;
-  slots_.resize(slots);
-  heat_.resize(slots);
+  FLEX_CHECK_MSG(config_.heat_threshold < kRefused,
+                 "trace heat threshold must fit the 8-bit heat counter");
 }
 
 TraceCache::~TraceCache() { memory_.unwatch_code_pages(this); }
+
+TraceCache::Table& TraceCache::find_or_create(const LoadedImage& image) {
+  for (const auto& table : tables_) {
+    if (table->image == &image) {
+      last_ = table.get();
+      return *last_;
+    }
+  }
+  last_ = tables_.emplace_back(std::make_unique<Table>(image)).get();
+  return *last_;
+}
+
+std::size_t TraceCache::table_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& table : tables_) bytes += table->traces.size() * kEntryBytes;
+  return bytes;
+}
 
 void TraceCache::on_code_page_written(u64 page_id) {
   // Deferred: the store may execute inside the very trace it invalidates, so
@@ -70,16 +87,22 @@ void TraceCache::on_code_page_written(u64 page_id) {
 }
 
 void TraceCache::process_pending_invalidation() {
-  for (Slot& slot : slots_) {
-    if (slot.trace == nullptr) continue;
-    const bool dirty = std::any_of(
-        dirty_pages_.begin(), dirty_pages_.end(), [&](u64 page) {
-          return page >= slot.trace->first_page && page <= slot.trace->last_page;
-        });
-    if (dirty) {
-      slot.entry_pc = ~Addr{0};
-      slot.trace.reset();
-      ++stats_.code_write_flushes;
+  const auto dirty = [&](u64 first_page, u64 last_page) {
+    return std::any_of(dirty_pages_.begin(), dirty_pages_.end(), [&](u64 page) {
+      return page >= first_page && page <= last_page;
+    });
+  };
+  for (const auto& table : tables_) {
+    // Only the images whose pages were written hold traces to drop.
+    if (!dirty(table->image->base >> Memory::kPageBits,
+               (table->image->end - 1) >> Memory::kPageBits)) {
+      continue;
+    }
+    for (TracePtr& trace : table->traces) {
+      if (trace != nullptr && dirty(trace->first_page, trace->last_page)) {
+        trace.reset();
+        ++stats_.code_write_flushes;
+      }
     }
   }
   dirty_pages_.clear();
@@ -87,78 +110,81 @@ void TraceCache::process_pending_invalidation() {
 }
 
 void TraceCache::flush() {
-  for (Slot& slot : slots_) {
-    slot.entry_pc = ~Addr{0};
-    slot.trace.reset();
-  }
-  for (Heat& heat : heat_) heat = Heat{};
+  tables_.clear();
+  last_ = nullptr;
   dirty_pages_.clear();
   pending_invalidation_ = false;
   ++stats_.full_flushes;
 }
 
-const Trace* TraceCache::notice_entry(Addr pc, const isa::Instruction* code,
-                                      Addr base, Addr end) {
+const Trace* TraceCache::notice_entry(Table& table, Addr pc) {
   if (pending_invalidation_) process_pending_invalidation();
-  Heat& heat = heat_[slot_index(pc)];
-  if (heat.pc != pc) {
-    // Cold (or aliased) entry: start counting afresh.
-    heat.pc = pc;
-    heat.count = 1;
+  // Traces start at aligned pcs only: a misaligned pc has no entry of its own.
+  if ((pc - table.image->base) % 4 != 0) return nullptr;
+  const std::size_t index = (pc - table.image->base) / 4;
+  u8& heat = table.heat[index];
+  if (heat == kRefused) return nullptr;
+  // Saturates below kRefused: past the threshold the entry re-records at
+  // once after a code write dropped its trace.
+  if (heat < kRefused - 1) ++heat;
+  if (heat < config_.heat_threshold) {
     ++stats_.heat_misses;
     return nullptr;
   }
-  if (heat.count == kRefused) return nullptr;
-  if (++heat.count < config_.heat_threshold) {
-    ++stats_.heat_misses;
-    return nullptr;
-  }
-
-  auto trace = std::make_unique<Trace>();
-  if (!record(pc, code, base, end, *trace)) {
-    heat.count = kRefused;  // too short / starts at a slow op: never re-walk
-    ++stats_.refused;
-    return nullptr;
-  }
-  memory_.watch_code_pages(this, trace->first_page, trace->last_page);
-  Slot& slot = slots_[slot_index(pc)];
-  slot.entry_pc = pc;
-  slot.trace = std::move(trace);
-  ++stats_.recorded;
-  return slot.trace.get();
+  return install(table, index);
 }
 
-bool TraceCache::seed(Addr pc, const isa::Instruction* code, Addr base, Addr end) {
+bool TraceCache::seed(Table& table, Addr pc) {
   if (pending_invalidation_) process_pending_invalidation();
-  Slot& slot = slots_[slot_index(pc)];
-  if (slot.entry_pc == pc) return true;  // already covered
-  auto trace = std::make_unique<Trace>();
-  if (!record(pc, code, base, end, *trace)) {
-    // Same terminal state a hot entry would reach: never re-walk this pc.
-    Heat& heat = heat_[slot_index(pc)];
-    heat.pc = pc;
-    heat.count = kRefused;
-    ++stats_.refused;
-    return false;
-  }
-  memory_.watch_code_pages(this, trace->first_page, trace->last_page);
-  slot.entry_pc = pc;
-  slot.trace = std::move(trace);
-  ++stats_.recorded;
+  if ((pc - table.image->base) % 4 != 0) return false;
+  const std::size_t index = (pc - table.image->base) / 4;
+  if (table.traces[index] != nullptr) return true;  // already covered
+  if (install(table, index) == nullptr) return false;
   ++stats_.seeded;
   return true;
 }
 
+const Trace* TraceCache::install(Table& table, std::size_t index) {
+  Trace header;
+  const LoadedImage& image = *table.image;
+  if (!record(image.base + 4 * index, image.code.data(), image.base, image.end,
+              header)) {
+    table.heat[index] = kRefused;  // too short / starts at a slow op: never re-walk
+    ++stats_.refused;
+    return nullptr;
+  }
+  memory_.watch_code_pages(this, header.first_page, header.last_page);
+  table.traces[index] = make_trace(header, ops_, mem_kinds_);
+  ++stats_.recorded;
+  return table.traces[index].get();
+}
+
+TracePtr make_trace(const Trace& header, const std::vector<TraceOp>& ops,
+                    const std::vector<u8>& mem_kinds) {
+  FLEX_CHECK(mem_kinds.size() == header.mem_ops);
+  const std::size_t ops_bytes = ops.size() * sizeof(TraceOp);
+  void* storage = ::operator new(sizeof(Trace) + ops_bytes + mem_kinds.size());
+  auto* trace = new (storage) Trace(header);
+  trace->op_count = static_cast<u32>(ops.size());
+  char* const tail = reinterpret_cast<char*>(trace + 1);
+  std::memcpy(tail, ops.data(), ops_bytes);
+  if (!mem_kinds.empty()) {  // data() of an empty vector may be null
+    std::memcpy(tail + ops_bytes, mem_kinds.data(), mem_kinds.size());
+  }
+  return TracePtr(trace);
+}
+
+void TraceDeleter::operator()(Trace* trace) const {
+  trace->~Trace();
+  ::operator delete(trace);
+}
+
 bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
-                        Addr end, Trace& out) const {
+                        Addr end, Trace& out) {
+  out = Trace{};
   out.entry_pc = entry_pc;
-  out.ops.clear();
-  out.inst_count = 0;
-  out.base_cost = 0;
-  out.mem_ops = 0;
-  out.mem_kinds.clear();
-  out.mem_worst_cost = 0;
-  out.last_pop_worst = 0;
+  ops_.clear();
+  mem_kinds_.clear();
   // The first fetch line is probed dynamically (it may equal the incoming
   // last_fetch_line); budget its worst case up front.
   Cycle worst_extra = cost_.worst_miss;
@@ -204,7 +230,7 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
       TraceOp probe;
       probe.kind = static_cast<u8>(TraceOpKind::kIFetchProbe);
       probe.target = p;
-      out.ops.push_back(probe);
+      ops_.push_back(probe);
       worst_extra += cost_.worst_miss;
     }
 
@@ -238,7 +264,7 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
         out.base_cost += 1 + cost_.load_use;
         worst_extra += cost_.worst_miss;
         out.mem_worst_cost += cost_.load_use + cost_.worst_miss;
-        out.mem_kinds.push_back(0);
+        mem_kinds_.push_back(0);
         fused = true;
       } else if (inst.op == Opcode::kAndi && inst.rd != 0 &&
                  (next->op == Opcode::kBne || next->op == Opcode::kBeq) &&
@@ -277,7 +303,7 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
           op.kind = static_cast<u8>(
               static_cast<u8>(TraceOpKind::kPairAddAdd) + 6 * first + second);
           op.imm = alu_pair_imm(inst.op, inst.imm);
-          out.ops.push_back(op);
+          ops_.push_back(op);
           TraceOp payload;
           payload.kind = static_cast<u8>(next->op);  // informational only
           payload.rd = next->rd;
@@ -290,7 +316,7 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
         }
       }
       if (fused) {
-        out.ops.push_back(op);
+        ops_.push_back(op);
         p += 4;
         continue;
       }
@@ -348,14 +374,14 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
         out.base_cost += cost_.load_use;
         worst_extra += cost_.worst_miss;
         out.mem_worst_cost += cost_.load_use + cost_.worst_miss;
-        out.mem_kinds.push_back(0);
+        mem_kinds_.push_back(0);
         break;
       case Opcode::kSb: case Opcode::kSh: case Opcode::kSw: case Opcode::kSd:
         out.last_pop_worst =
             out.base_cost - 1 + worst_extra - out.mem_worst_cost;
         worst_extra += cost_.worst_miss;
         out.mem_worst_cost += cost_.worst_miss;
-        out.mem_kinds.push_back(1);
+        mem_kinds_.push_back(1);
         break;
 
       default:
@@ -363,21 +389,21 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
     }
 
     if (emit) {
-      out.ops.push_back(op);
+      ops_.push_back(op);
     } else {
       // ALU into x0: no architectural effect beyond its cycle(s). The fused
       // segment-stream modes advance a per-op commit clock, so the cost must
       // stay at this program position as a pseudo-op (the plain path already
       // has it in base_cost and skips this).
       const auto cycles = static_cast<i32>(isa::opcode_latency(inst.op));
-      if (!out.ops.empty() &&
-          out.ops.back().kind == static_cast<u8>(TraceOpKind::kStaticCost)) {
-        out.ops.back().imm += cycles;
+      if (!ops_.empty() &&
+          ops_.back().kind == static_cast<u8>(TraceOpKind::kStaticCost)) {
+        ops_.back().imm += cycles;
       } else {
         TraceOp elided;
         elided.kind = static_cast<u8>(TraceOpKind::kStaticCost);
         elided.imm = cycles;
-        out.ops.push_back(elided);
+        ops_.push_back(elided);
       }
     }
   }
@@ -386,12 +412,12 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
     // Sentinel so the replay loop needs no bound check.
     TraceOp exit_op;
     exit_op.kind = static_cast<u8>(TraceOpKind::kExit);
-    out.ops.push_back(exit_op);
+    ops_.push_back(exit_op);
   }
 
   out.exit_pc = region_end;
   out.exit_line = (region_end - 4) >> 6;
-  out.mem_ops = static_cast<u32>(out.mem_kinds.size());
+  out.mem_ops = static_cast<u32>(mem_kinds_.size());
   out.worst_cost = out.base_cost + worst_extra;
   out.first_page = entry_pc >> Memory::kPageBits;
   out.last_page = (region_end - 1) >> Memory::kPageBits;

@@ -35,6 +35,8 @@
 
 #include "arch/config.h"
 #include "arch/memory.h"
+#include "arch/program_image.h"
+#include "common/check.h"
 #include "common/types.h"
 #include "isa/instruction.h"
 
@@ -131,7 +133,9 @@ struct TraceOp {
 
 /// A recorded straight-line region: at most one control transfer, as the
 /// final instruction. Ends early before any slow-path opcode, at the image
-/// end, or at the configured length cap.
+/// end, or at the configured length cap. A trace is one allocation of exactly
+/// its size (make_trace): this header, then its op_count ops, then its
+/// mem_ops memory kinds.
 struct Trace {
   Addr entry_pc = 0;
   /// Fall-through continuation: pc after the last instruction. The terminal
@@ -139,7 +143,6 @@ struct Trace {
   Addr exit_pc = 0;
   /// Fetch line of the last instruction — last_fetch_line after replay.
   Addr exit_line = 0;
-  u32 inst_count = 0;
   /// Static cycle cost: 1/instruction + multiplier/divider latencies +
   /// load-use bubbles. Dynamic stalls (cache misses, mispredicts, redirect
   /// bubbles) are accumulated during replay and added on top.
@@ -147,19 +150,9 @@ struct Trace {
   /// base_cost + worst-case dynamic stalls: the quantum-headroom bound that
   /// guarantees no cycle limit can expire mid-trace.
   Cycle worst_cost = 0;
-  u64 first_page = 0;  ///< Code pages covered (write-invalidation range).
-  u64 last_page = 0;
-  /// Plain loads + stores in the trace, and their kinds in program order
-  /// (0 = load — including the load half of kLdAddAcc/kLdXorAcc — 1 = store).
-  /// The fused segment-stream modes gate dispatch on these: a trace only
-  /// replays when the cursor has room for every record (producer) or the
-  /// staged log prefix matches kind-for-kind (consumer), so no mid-trace
-  /// bail-out can be needed.
-  u32 mem_ops = 0;
-  std::vector<u8> mem_kinds;
   /// Data-memory share of worst_cost: per load the load-use penalty plus a
   /// worst-case d-cache miss, per store a worst-case miss. Replay serves every
-  /// access from the staged log at a fixed FIFO stall instead, so its dispatch
+  /// access from the log at a fixed FIFO stall instead, so its dispatch
   /// bound is worst_cost - mem_worst_cost + mem_ops * replay_stall — without
   /// this correction, memory-heavy hot traces can out-budget a checker's
   /// whole quantum and never dispatch.
@@ -173,8 +166,32 @@ struct Trace {
   /// may dispatch even though its tail (trailing ALU / probes / terminal)
   /// would overrun the bound. Meaningless when mem_ops == 0.
   Cycle last_pop_worst = 0;
-  std::vector<TraceOp> ops;  ///< Includes pseudo-ops; size() >= inst_count.
+  u64 first_page = 0;  ///< Code pages covered (write-invalidation range).
+  u64 last_page = 0;
+  u32 inst_count = 0;
+  /// Plain loads + stores in the trace; mem_kinds() gives their kinds in
+  /// program order (0 = load — including the load half of
+  /// kLdAddAcc/kLdXorAcc — 1 = store). The fused segment-stream modes gate
+  /// dispatch on these: a trace only replays when the cursor has room for
+  /// every record (producer) or the cursor's next records match kind-for-kind
+  /// (consumer), so no mid-trace bail-out can be needed.
+  u32 mem_ops = 0;
+  u32 op_count = 0;  ///< Includes pseudo-ops; op_count >= inst_count.
+
+  const TraceOp* ops() const { return reinterpret_cast<const TraceOp*>(this + 1); }
+  const u8* mem_kinds() const { return reinterpret_cast<const u8*>(ops() + op_count); }
 };
+static_assert(sizeof(Trace) % alignof(TraceOp) == 0, "ops follow the header");
+
+/// Frees a trace together with the arrays behind its header.
+struct TraceDeleter {
+  void operator()(Trace* trace) const;
+};
+using TracePtr = std::unique_ptr<Trace, TraceDeleter>;
+
+/// Allocate a trace: `header` with `ops` and `mem_kinds` behind it.
+TracePtr make_trace(const Trace& header, const std::vector<TraceOp>& ops,
+                    const std::vector<u8>& mem_kinds);
 
 /// Worst-case/static cost parameters captured from the owning core's
 /// configuration at construction (used to precompute trace cost bounds).
@@ -184,8 +201,12 @@ struct TraceCostModel {
   Cycle mispredict = 0;
 };
 
-/// Per-core trace store: direct-mapped table keyed by entry pc, with a heat
-/// table in front so only genuinely hot block entries get recorded.
+/// Per-core trace store: one exactly indexed table per code image the core
+/// has entered, created on first entry. Entry i of an image's table belongs
+/// to pc = base + 4*i and holds that pc's trace and heat counter, so no two
+/// pcs — in one image or in two — ever share an entry, and a core's tables
+/// cost kEntryBytes per instruction of the images it runs. The heat counter
+/// keeps traces to genuinely hot block entries.
 class TraceCache final : public CodeWriteListener {
  public:
   struct Stats {
@@ -199,36 +220,55 @@ class TraceCache final : public CodeWriteListener {
     u64 full_flushes = 0;        ///< flush() calls (snapshot restore).
   };
 
+  /// One image's table, indexed by (pc - image.base) / 4.
+  struct Table {
+    explicit Table(const LoadedImage& img)
+        : image(&img), traces(img.code.size()), heat(img.code.size()) {}
+    const LoadedImage* image;
+    std::vector<TracePtr> traces;
+    std::vector<u8> heat;  ///< Entry visits so far (kRefused: never record).
+  };
+  static constexpr std::size_t kEntryBytes = sizeof(TracePtr) + sizeof(u8);
+
   TraceCache(const TraceConfig& config, Memory& memory, const TraceCostModel& cost);
   ~TraceCache();
 
   TraceCache(const TraceCache&) = delete;
   TraceCache& operator=(const TraceCache&) = delete;
 
-  /// Trace starting exactly at `pc`, or nullptr. Processes any pending
-  /// write-invalidation first — callers must therefore not hold a Trace
-  /// pointer across lookups.
-  const Trace* lookup(Addr pc) {
+  /// The table of `image`, created on first use. The reference stays valid
+  /// until flush(); the batched engine hoists it next to the image's fetch
+  /// window.
+  Table& table(const LoadedImage& image) {
+    if (last_ != nullptr && last_->image == &image) return *last_;
+    return find_or_create(image);
+  }
+
+  /// Trace starting exactly at `pc` (inside the table's image), or nullptr.
+  /// Processes any pending write-invalidation first — callers must therefore
+  /// not hold a Trace pointer across lookups.
+  const Trace* lookup(Table& table, Addr pc) {
     if (pending_invalidation_) [[unlikely]] process_pending_invalidation();
-    const Slot& slot = slots_[slot_index(pc)];
-    return slot.entry_pc == pc ? slot.trace.get() : nullptr;
+    FLEX_DCHECK(table.image->contains(pc));
+    const Trace* trace = table.traces[(pc - table.image->base) / 4].get();
+    // A misaligned pc shares its entry with the aligned one below it.
+    return trace != nullptr && trace->entry_pc == pc ? trace : nullptr;
   }
 
   /// Lookup miss at a block entry: bump the heat counter and, at threshold,
   /// record the region from the pre-decoded image stream. Returns the fresh
   /// trace when one was recorded.
-  const Trace* notice_entry(Addr pc, const isa::Instruction* code, Addr base, Addr end);
+  const Trace* notice_entry(Table& table, Addr pc);
 
   /// Statically-seeded recording: install a trace at `pc` immediately,
   /// bypassing the heat counter (the static analysis already declared the
   /// entry hot). Returns true when `pc` is covered afterwards (freshly
   /// recorded or already present). A refused seed (region too short) marks
   /// the heat entry never-record, exactly like a refused hot entry. Seeds are
-  /// host-speed only — they never change simulated outcomes — and remain
-  /// evictable by genuine heat through the normal direct-mapped slot path.
-  bool seed(Addr pc, const isa::Instruction* code, Addr base, Addr end);
+  /// host-speed only — they never change simulated outcomes.
+  bool seed(Table& table, Addr pc);
 
-  /// Drop every trace (snapshot restore: traces are derived state).
+  /// Drop every table (snapshot restore: traces are derived state).
   void flush();
 
   void count_dispatch(u32 insts) {
@@ -237,33 +277,33 @@ class TraceCache final : public CodeWriteListener {
   }
 
   const Stats& stats() const { return stats_; }
+  /// Images with a table, and the host bytes of all their entries.
+  std::size_t table_count() const { return tables_.size(); }
+  std::size_t table_bytes() const;
 
   // CodeWriteListener: deferred — the store may run inside a live trace.
   void on_code_page_written(u64 page_id) override;
 
  private:
-  struct Slot {
-    Addr entry_pc = ~Addr{0};
-    std::unique_ptr<Trace> trace;
-  };
-  struct Heat {
-    Addr pc = ~Addr{0};
-    u32 count = 0;
-  };
-  static constexpr u32 kRefused = ~u32{0};
+  static constexpr u8 kRefused = 0xFF;
 
-  std::size_t slot_index(Addr pc) const { return (pc >> 2) & slot_mask_; }
-  bool record(Addr pc, const isa::Instruction* code, Addr base, Addr end, Trace& out) const;
+  Table& find_or_create(const LoadedImage& image);
+  /// Record and install the trace at `pc`, entry `index` of `table`; on
+  /// refusal mark the entry never-record.
+  const Trace* install(Table& table, std::size_t index);
+  /// Record the region at `pc` into `out` plus the ops_ / mem_kinds_ scratch.
+  bool record(Addr pc, const isa::Instruction* code, Addr base, Addr end, Trace& out);
   void process_pending_invalidation();
 
   TraceConfig config_;
   Memory& memory_;
   TraceCostModel cost_;
-  std::size_t slot_mask_;
-  std::vector<Slot> slots_;
-  std::vector<Heat> heat_;
+  std::vector<std::unique_ptr<Table>> tables_;
+  Table* last_ = nullptr;  ///< Most recently requested table.
   bool pending_invalidation_ = false;
   std::vector<u64> dirty_pages_;
+  std::vector<TraceOp> ops_;   ///< Recording scratch, copied into the trace.
+  std::vector<u8> mem_kinds_;  ///< Recording scratch, copied into the trace.
   Stats stats_;
 };
 

@@ -2,16 +2,17 @@
 //
 // std::deque pays a block-map indirection and an allocation every few dozen
 // elements; the DBC channels push and pop one 32-byte slot per logged memory
-// access, and the fused publish/replay paths move whole runs of slots at a
-// time. The ring keeps a contiguous power-of-two array indexed with a mask,
-// so a run is at most two contiguous pieces (append / copy_out), and grows
-// (rarely) by doubling when a DMA spill pushes occupancy past the allocated
-// capacity.
+// access, and the fused publish/replay paths work on whole runs of slots in
+// place. The ring keeps a contiguous power-of-two array indexed with a mask,
+// so a run is at most two contiguous pieces (append / copy_out; front_run and
+// reserve hand out the first piece), and grows (rarely) by doubling when a
+// DMA spill pushes occupancy past the allocated capacity.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -68,6 +69,31 @@ class Ring {
     const std::size_t first = std::min(n, buf_.size() - start);
     std::copy(buf_.data() + start, buf_.data() + start + first, dst);
     std::copy(buf_.data(), buf_.data() + (n - first), dst + first);
+  }
+
+  /// The oldest elements that sit contiguously in memory, at most `n`: the
+  /// run stops at the buffer end (the ring wrap) or at the back.
+  std::span<T> front_run(std::size_t n) {
+    return {buf_.data() + head_, std::min({n, count_, buf_.size() - head_})};
+  }
+
+  /// In-place append, first half: the free run at the back, at most `n`
+  /// long. It stops at the buffer end or at the front, so it is contiguous.
+  /// A full ring grows first, so the run is empty only for n == 0. Write the
+  /// elements there, then publish a prefix with commit(). Any push, append,
+  /// pop or grow in between moves or overwrites the run.
+  std::span<T> reserve(std::size_t n) {
+    if (count_ == buf_.size()) [[unlikely]] grow();
+    const std::size_t tail = (head_ + count_) & mask_;
+    const std::size_t free = buf_.size() - count_;
+    return {buf_.data() + tail, std::min({n, free, buf_.size() - tail})};
+  }
+
+  /// In-place append, second half: the first `n` elements of the last
+  /// reserve() run join the back of the ring.
+  void commit(std::size_t n) {
+    FLEX_DCHECK(count_ + n <= buf_.size());
+    count_ += n;
   }
 
   void pop_front() { pop_front(1); }

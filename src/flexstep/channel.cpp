@@ -145,6 +145,7 @@ u64 Channel::producer_headroom_entries() const {
 u64 Channel::push_checkpoint(u8 tag, const arch::ArchState& state, u64 inst_count,
                              Cycle now) {
   FLEX_CHECK_MSG(!closed_, "push on closed channel");
+  FLEX_DCHECK(!window_open_);
   slots_.push_back(Slot{tag, 0, 0, checkpoints_popped_ + checkpoints_.size(), now});
   checkpoints_.push_back({state, inst_count});
   max_occupancy_ = std::max<u64>(max_occupancy_, slots_.size());
@@ -195,6 +196,7 @@ StreamItem Channel::item(std::size_t index) const {
 
 StreamItem::Kind Channel::pop_front(Cycle now) {
   FLEX_CHECK_MSG(!slots_.empty(), "pop on empty channel");
+  FLEX_DCHECK(!window_open_);
   const u8 tag = slots_.front().kind;
   last_popped_seq_ = seq_at(0);
   last_pop_cycle_ = now;
@@ -211,6 +213,8 @@ StreamItem::Kind Channel::pop_front(Cycle now) {
 }
 
 void Channel::consume_front(u64 count, Cycle now) {
+  FLEX_DCHECK(window_open_);
+  window_open_ = false;
   FLEX_CHECK_MSG(count <= slots_.size(), "consume_front past queue end");
   if (count == 0) return;
   for (u64 i = 0; i < count; ++i) FLEX_CHECK(slots_[i].kind < kSlotScp);
@@ -346,6 +350,7 @@ void Channel::save(Snapshot& out) const {
 void Channel::restore(const Snapshot& snapshot) {
   FLEX_CHECK_MSG(snapshot.main_id == main_id_ && snapshot.checker_id == checker_id_,
                  "channel snapshot endpoint mismatch");
+  FLEX_DCHECK(!window_open_);
   slots_.clear();
   checkpoints_.clear();
   checkpoints_popped_ = 0;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ring.h"
@@ -96,7 +97,7 @@ class Channel {
         // Ring sized to the backpressure threshold: occupancy beyond
         // channel_capacity (DMA spill while the checker starves) grows the
         // ring by doubling, preserving the overflow semantics.
-        slots_(static_cast<std::size_t>(config.channel_capacity) + 1) {}
+        slots_(static_cast<std::size_t>(config.channel_capacity)) {}
 
   CoreId main_id() const { return main_id_; }
   CoreId checker_id() const { return checker_id_; }
@@ -122,16 +123,44 @@ class Channel {
   /// Stepwise hot path: one call per logged memory access.
   void push_mem(const MemLogEntry& entry, Cycle now) {
     FLEX_CHECK_MSG(!closed_, "push on closed channel");
+    FLEX_DCHECK(!window_open_);
     slots_.push_back(Slot{static_cast<u8>(entry.kind), entry.bytes, entry.addr,
                           entry.data, now});
     ++next_seq_;
     if (slots_.size() > max_occupancy_) max_occupancy_ = slots_.size();
   }
 
-  /// Fused publish: append `count` MAL slots as the batched engine recorded
-  /// them (kind = MemEntryKind tag, cycle = push cycle) in one block copy.
+  // ---- zero-copy windows (fused publish / replay) ----
+  //
+  // A fused span works on the slot ring in place: the producer writes MAL
+  // slots into the free run at the back, the checker reads the run at the
+  // front. A window is contiguous, so it stops at the ring wrap. While one
+  // is open nothing else may push to, pop from or grow the channel
+  // (FLEX_DCHECK): the window points into the ring's buffer.
+
+  /// Fused publish, first half: at most `max` free slots at the back (a full
+  /// ring grows first). The producer writes MAL slots there as the batched
+  /// engine records them (kind = MemEntryKind tag, cycle = push cycle).
+  std::span<Slot> open_back_window(std::size_t max) {
+    FLEX_CHECK_MSG(!closed_, "push on closed channel");
+    FLEX_DCHECK(!window_open_);
+    window_open_ = true;
+    return slots_.reserve(max);
+  }
+  /// Fused publish, second half: the first `count` window slots join the
+  /// queue as MAL items, and the window closes.
+  void publish_back_window(std::size_t count) {
+    FLEX_DCHECK(window_open_);
+    window_open_ = false;
+    slots_.commit(count);
+    next_seq_ += count;
+    if (slots_.size() > max_occupancy_) max_occupancy_ = slots_.size();
+  }
+  /// Fused publish into a further out channel (triple mode): append a copy
+  /// of the `count` MAL slots another channel's window published.
   void push_mem_run(const Slot* run, std::size_t count) {
     FLEX_CHECK_MSG(!closed_, "push on closed channel");
+    FLEX_DCHECK(!window_open_);
     slots_.append(run, count);
     next_seq_ += count;
     if (slots_.size() > max_occupancy_) max_occupancy_ = slots_.size();
@@ -185,14 +214,19 @@ class Channel {
     return out;
   }
 
-  /// Copy the `count` oldest slots to `out` (fused replay staging).
-  void copy_front(std::size_t count, Slot* out) const { slots_.copy_out(0, count, out); }
-
-  /// Bulk-retire `count` already-consumed kMem items from the front (fused
-  /// replay path). Equivalent to `count` pop() calls whose intermediate
-  /// last_pop_cycle values are unobservable: the caller guarantees no
-  /// producer-wake space transition and no SegmentEnd sits inside the run,
-  /// so only the final pop timestamp (`now`) is retained.
+  /// Fused replay, first half: the oldest queued slots that sit contiguously
+  /// in the ring, at most `max` (see the zero-copy windows above).
+  std::span<Slot> open_front_window(std::size_t max) {
+    FLEX_DCHECK(!window_open_);
+    window_open_ = true;
+    return slots_.front_run(max);
+  }
+  /// Fused replay, second half: bulk-retire the `count` already-consumed kMem
+  /// items at the front of the window, and close it. Equivalent to `count`
+  /// pop() calls whose intermediate last_pop_cycle values are unobservable:
+  /// the caller guarantees no producer-wake space transition and no
+  /// SegmentEnd sits inside the run, so only the final pop timestamp (`now`)
+  /// is retained.
   void consume_front(u64 count, Cycle now);
 
   /// Cycle at which the consumer last freed space (producer resume time).
@@ -203,6 +237,9 @@ class Channel {
   u64 pushed() const { return next_seq_; }
   u64 complete_segments_queued() const { return static_cast<u64>(segments_.size()); }
   u64 max_occupancy() const { return max_occupancy_; }
+  /// Slots the ring holds before it must grow: bit_ceil(channel_capacity)
+  /// until a DMA spill pushed occupancy past that.
+  std::size_t slot_capacity() const { return slots_.capacity(); }
   u64 backpressure_events() const { return backpressure_events_; }
   void count_backpressure_event() { ++backpressure_events_; }
 
@@ -274,6 +311,7 @@ class Channel {
   u64 last_popped_seq_ = 0;
   Cycle last_pop_cycle_ = 0;
   bool closed_ = false;
+  bool window_open_ = false;  ///< A zero-copy window points into slots_.
 
   u64 max_occupancy_ = 0;
   u64 backpressure_events_ = 0;

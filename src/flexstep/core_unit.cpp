@@ -237,8 +237,13 @@ void CoreUnit::on_code_page_written(u64 page_id) {
   // longer matches what may execute, so burst sizing falls back to the
   // conservative global divisor from the next sizing decision on. Sticky —
   // reanalysis arrives, if ever, through a fresh set_static_dbc_bound.
-  (void)page_id;
-  static_bound_dropped_ = true;
+  // Memory notifies every listener of a write anywhere in the union of the
+  // watched ranges; only a write to this bound's own image counts.
+  if (static_bound_ != nullptr &&
+      page_id >= static_bound_->base >> arch::Memory::kPageBits &&
+      page_id <= (static_bound_->end - 1) >> arch::Memory::kPageBits) {
+    static_bound_dropped_ = true;
+  }
 }
 
 void CoreUnit::save(Snapshot& out) const {
@@ -289,12 +294,10 @@ void CoreUnit::restore(const Snapshot& snapshot) {
   checkpoints_captured_ = snapshot.checkpoints_captured;
   mem_entries_logged_ = snapshot.mem_entries_logged;
   replayed_total_ = snapshot.replayed_total;
-  // The fused-path cursor is quantum-scoped (never live across a run_until
-  // return, hence never part of any snapshot); drop any stale staging. The
-  // bulk-consume horizon is likewise per-quantum driver state: start
-  // conservative until the restoring driver re-establishes its contract.
-  cursor_.used = 0;
-  cursor_.capacity = 0;
+  // The fused-path cursor is span-scoped (on_commit_batch closes it before
+  // run_until returns, so it is never part of any snapshot). The
+  // bulk-consume horizon is per-quantum driver state: start conservative
+  // until the restoring driver re-establishes its contract.
   bulk_consume_horizon_ = 0;
   refresh_passive();
   // The core's data-memory port is not part of Core::Snapshot (it is a seam
@@ -748,9 +751,10 @@ u64 CoreUnit::commit_batch_limit() const {
 
 void CoreUnit::on_commit_batch(arch::Core& core, u64 count) {
   (void)core;
-  // Stream effects first: the staged records must land in the channel (or be
-  // retired from it) before any per-instruction path can push or pop again.
-  if (cursor_.used > 0) publish_cursor();
+  // Stream effects first: the cursor's records must land in the channel (or
+  // be retired from it) and its window close before any per-instruction path
+  // can push or pop again.
+  if (cursor_.slots != nullptr) publish_cursor();
   if (replay_active_) {
     replayed_ += count;
     replayed_total_ += count;
@@ -765,53 +769,37 @@ void CoreUnit::on_commit_batch(arch::Core& core, u64 count) {
 arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
                                                    u64 max_entries) {
   (void)core;
-  cursor_.used = 0;
-  cursor_.capacity = 0;
   if (max_entries == 0) return nullptr;
   if (replay_active_) {
     if (segment_abort_ || in_channel_ == nullptr) return nullptr;
     Channel& ch = *in_channel_;
-    // Stage the log entries at the queue front. The staging copy is
-    // O(window length), so the window is clamped to what the span can
-    // actually consume (`max_entries`: tiny under the strict-leapfrog engine,
-    // a whole burst under the relaxed one). Unless the driver has promised
-    // that every pop this quantum stays in the producer's past (bulk consume
-    // horizon), the pop that frees the producer-resume space threshold must
-    // stay on the stepwise path (pop_in ends the quantum so the driver can
-    // wake the blocked producer at exactly the stepwise cycle), so when the
-    // channel is over that threshold the staged window stops one short of
-    // the transition.
-    // A span of `max_entries` instructions commits far fewer memory ops than
-    // instructions (typical workloads sit near 15-25% memory density), and
-    // staging copies every staged slot — so pre-staging the full
-    // instruction window mostly copies records the span never reaches. Stage
-    // a quarter of the window (plus slack for tiny windows): dense memory
-    // code simply exhausts the cursor early, bails, and re-stages on the
-    // next span.
-    const u64 expected = max_entries / 4 + 8;
-    u64 max_pops = std::min<u64>(kCursorSlots, std::min(max_entries, expected));
+    // Replay reads the log entries at the queue front in place. Unless the
+    // driver has promised that every pop this quantum stays in the
+    // producer's past (bulk consume horizon), the pop that frees the
+    // producer-resume space threshold must stay on the stepwise path (pop_in
+    // ends the quantum so the driver can wake the blocked producer at
+    // exactly the stepwise cycle), so when the channel is over that
+    // threshold the window stops one short of the transition.
+    u64 max_pops = max_entries;
     if (bulk_consume_horizon_ == 0 &&
         !ch.producer_can_push(kProducerResumeHeadroom)) {
       const u64 wake =
           ch.size() + kProducerResumeHeadroom - config_.channel_capacity;
       max_pops = std::min<u64>(max_pops, wake - 1);
     }
-    const u64 avail = std::min<u64>(ch.size(), max_pops);
-    if (avail == 0) return nullptr;
-    // Stage the window with one block copy (the channel and the cursor share
-    // the slot layout). The engine checks each staged slot's kind against
-    // the load/store replaying it, so it stops at the first LR/SC/AMO entry
-    // or checkpoint exactly as it stops at the end of the window; only a
-    // window that starts with one stages nothing.
+    if (max_pops == 0 || ch.empty()) return nullptr;
+    // The engine checks each window slot's kind against the load/store
+    // replaying it, so it stops at the first LR/SC/AMO entry or checkpoint
+    // exactly as it stops at the end of the window; only a window that
+    // starts with one is not worth opening.
     const u8 front_kind = ch.slot(0).kind;
     if (front_kind != static_cast<u8>(MemEntryKind::kLoadData) &&
         front_kind != static_cast<u8>(MemEntryKind::kStoreAddrData)) {
       return nullptr;  // replays through the stepwise port
     }
-    if (cursor_slots_.empty()) cursor_slots_.resize(kCursorSlots);
-    ch.copy_front(avail, cursor_slots_.data());
-    cursor_.slots = cursor_slots_.data();
-    cursor_.capacity = static_cast<u32>(avail);
+    const std::span<Slot> window = ch.open_front_window(max_pops);
+    cursor_.slots = window.data();
+    cursor_.capacity = static_cast<u32>(window.size());
     cursor_.produce = false;
     cursor_.load_kind = static_cast<u8>(MemEntryKind::kLoadData);
     cursor_.store_kind = static_cast<u8>(MemEntryKind::kStoreAddrData);
@@ -834,10 +822,12 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
       headroom = std::min(headroom, ch->producer_headroom_entries());
     }
     if (headroom == 0) return nullptr;
-    if (cursor_slots_.empty()) cursor_slots_.resize(kCursorSlots);
-    cursor_.slots = cursor_slots_.data();
-    cursor_.capacity = static_cast<u32>(
-        std::min<u64>(std::min<u64>(headroom, kCursorSlots), max_entries));
+    // Records go straight into the first out channel's ring; publish_cursor
+    // copies them on only into any further out channel (triple mode).
+    const std::span<Slot> window = out_channels_.front()->open_back_window(
+        static_cast<std::size_t>(std::min(headroom, max_entries)));
+    cursor_.slots = window.data();
+    cursor_.capacity = static_cast<u32>(window.size());
     cursor_.produce = true;
     cursor_.load_kind = static_cast<u8>(MemEntryKind::kLoadData);
     cursor_.store_kind = static_cast<u8>(MemEntryKind::kStoreAddrData);
@@ -852,11 +842,15 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
 
 void CoreUnit::publish_cursor() {
   if (cursor_.produce) {
-    for (Channel* ch : out_channels_) ch->push_mem_run(cursor_slots_.data(), cursor_.used);
+    out_channels_.front()->publish_back_window(cursor_.used);
+    for (std::size_t i = 1; i < out_channels_.size(); ++i) {
+      out_channels_[i]->push_mem_run(cursor_.slots, cursor_.used);
+    }
     mem_entries_logged_ += cursor_.used;
-  } else if (in_channel_ != nullptr) {
+  } else {
     in_channel_->consume_front(cursor_.used, cursor_.last_cycle);
   }
+  cursor_.slots = nullptr;
   cursor_.used = 0;
   cursor_.capacity = 0;
 }

@@ -336,16 +336,13 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   SegmentDoneFn on_segment_done_;
 
   // ---- fused fast-path cursor (bulk CoreHooks seam, arch/ports.h) ----
-  /// Staging depth per quantum. Producer side this bounds how many MAL
-  /// entries are appended before publishing; consumer side how many log
-  /// entries are pre-staged for in-loop verification. Both are re-opened
-  /// every batched span, so the value only caps batching, not correctness.
-  static constexpr u32 kCursorSlots = 4096;
-  /// Publish (producer) / retire (consumer) the staged cursor records.
+  /// Publish (producer) / retire (consumer) the cursor's records and close
+  /// its channel window. The cursor is a zero-copy window on a channel ring
+  /// (Channel::open_back_window / open_front_window), re-opened every
+  /// batched span, so the window length only caps batching, not correctness.
   void publish_cursor();
   static void cursor_mismatch_thunk(void* ctx, arch::ReplayMismatch kind, Cycle at);
-  std::vector<arch::MemRecord> cursor_slots_;  ///< Lazily sized to kCursorSlots.
-  arch::SegmentCursor cursor_{};
+  arch::SegmentCursor cursor_{};  ///< slots == nullptr while no window is open.
   /// Transient per-quantum driver hint (see set_bulk_consume_horizon); never
   /// snapshotted — a restored run starts conservative until its driver speaks.
   Cycle bulk_consume_horizon_ = 0;

@@ -301,20 +301,19 @@ Session::Session(const Scenario& scenario, std::vector<isa::Program> programs,
   soc_ = std::make_unique<soc::Soc>(soc_config);
   exec_ = std::make_unique<soc::VerifiedExecution>(*soc_, run_config);
   if (prepare) {
-    // Static analysis backs single-program sessions; a multi-producer session
-    // skips it (conservative: dynamic trace recording and the global DBC
-    // divisor still apply — per-role reports are a follow-on).
-    if (programs_.size() == 1 &&
-        scenario_.analysis_.value_or(default_analysis_enabled())) {
-      auto report = std::make_shared<analysis::ProgramReport>(
-          analysis::analyze(programs_.front()));
-      auto bound = std::make_shared<fs::StaticDbcBound>();
-      bound->base = programs_.front().code_base;
-      bound->end = programs_.front().code_end();
-      bound->per_inst = report->fwd_entry_bound;
-      bound->global = report->global_entry_bound;
-      analysis_ = std::move(report);
-      bound_ = std::move(bound);
+    if (scenario_.analysis_.value_or(default_analysis_enabled())) {
+      auto analysis = std::make_shared<std::vector<RoleAnalysis>>();
+      analysis->reserve(programs_.size());
+      for (const isa::Program& program : programs_) {
+        analysis::ProgramReport report = analysis::analyze(program);
+        RoleAnalysis& role = analysis->emplace_back();
+        role.trace_seeds = std::move(report.trace_seeds);
+        role.bound.base = program.code_base;
+        role.bound.end = program.code_end();
+        role.bound.per_inst = std::move(report.fwd_entry_bound);
+        role.bound.global = report.global_entry_bound;
+      }
+      analysis_ = std::move(analysis);
     }
     exec_->prepare(programs_);
     apply_analysis();
@@ -328,12 +327,21 @@ Session::Session(const Scenario& scenario, std::vector<isa::Program> programs,
 
 void Session::apply_analysis() {
   if (analysis_ == nullptr) return;
-  for (u32 i = 0; i < soc_->num_cores(); ++i) {
-    // Every core replays user code (checkers included), so all trace caches
-    // get the statically hot entries; the burst bound only binds on whichever
-    // unit is producing, and installing it everywhere is harmless.
-    soc_->core(i).seed_traces(analysis_->trace_seeds);
-    soc_->unit(i).set_static_dbc_bound(soc_->memory(), bound_);
+  const std::vector<soc::RoleBinding>& roles = exec_->roles();
+  FLEX_CHECK(roles.size() == analysis_->size());
+  for (std::size_t r = 0; r < roles.size(); ++r) {
+    // A core gets the seeds of exactly the programs it runs: its own as a
+    // producer, and those of the producers it checks (a shared checker
+    // replays every one of them).
+    const RoleAnalysis& role = (*analysis_)[r];
+    soc_->core(roles[r].producer).seed_traces(role.trace_seeds);
+    for (CoreId checker : roles[r].checkers) {
+      soc_->core(checker).seed_traces(role.trace_seeds);
+    }
+    // Aliasing shared_ptr: the bound lives as long as the shared analysis.
+    soc_->unit(roles[r].producer)
+        .set_static_dbc_bound(soc_->memory(), std::shared_ptr<const fs::StaticDbcBound>(
+                                                  analysis_, &role.bound));
   }
 }
 
@@ -390,7 +398,6 @@ fs::Channel* Session::channel() {
 Session Session::fork(const soc::Snapshot& snapshot) const {
   Session child(scenario_, programs_, /*prepare=*/false);
   child.analysis_ = analysis_;  // immutable, shared across the fork tree
-  child.bound_ = bound_;
   child.exec_->restore(snapshot);
   child.apply_analysis();
   return child;

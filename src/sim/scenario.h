@@ -43,6 +43,15 @@ namespace flexstep::sim {
 
 class Session;
 
+/// What a session keeps of the static analysis of one role's program: the
+/// trace seeds its producer and checkers get, and the DBC production bound
+/// its producer gets. The full report is dropped after the build: a 64-core
+/// session would otherwise hold 63 CFGs it never reads.
+struct RoleAnalysis {
+  std::vector<Addr> trace_seeds;
+  fs::StaticDbcBound bound;
+};
+
 class Scenario {
  public:
   Scenario() = default;
@@ -78,10 +87,12 @@ class Scenario {
   /// A pure host-speed knob: results are bit-identical either way.
   Scenario& trace(bool enabled);
   /// Static guest-program analysis on/off (default: on, unless
-  /// FLEX_ANALYZE=0). When on, the built session pre-seeds every core's trace
-  /// cache from statically hot region heads and installs the per-pc DBC
-  /// production bound that tightens bounded-engine bursts. Host-speed only:
-  /// simulated outcomes are bit-identical either way.
+  /// FLEX_ANALYZE=0). When on, the built session analyses each role's
+  /// program once, pre-seeds the trace caches of the role's producer and
+  /// checkers from that program's statically hot region heads, and installs
+  /// the program's per-pc DBC production bound on the producer, which
+  /// tightens bounded-engine bursts. Host-speed only: simulated outcomes are
+  /// bit-identical either way.
   Scenario& analysis(bool enabled);
 
   // ---- verification topology ----
@@ -226,8 +237,11 @@ class Session {
   /// is left untouched.
   io::ArchiveError load_file(const std::string& path);
 
-  /// The static analysis backing this session (nullptr when analysis is off).
-  const analysis::ProgramReport* analysis() const { return analysis_.get(); }
+  /// The static analysis of role `role`'s program (nullptr when analysis is
+  /// off).
+  const RoleAnalysis* analysis(std::size_t role = 0) const {
+    return analysis_ == nullptr ? nullptr : &analysis_->at(role);
+  }
   /// Clone an independent session at the snapshot's state: fresh Soc, same
   /// program (loaded, not re-generated), same driver config. The clone and
   /// this session share no mutable state and evolve independently.
@@ -242,17 +256,18 @@ class Session {
   /// workload generator (forks happen once per campaign injection).
   Session(const Scenario& scenario, std::vector<isa::Program> programs,
           bool prepare);
-  /// Seed every core's trace cache and (re-)install the static DBC bound.
-  /// Called after prepare and after every restore (restores flush traces).
+  /// Seed each role's producer and checkers with its program's trace seeds
+  /// and (re-)install the program's static DBC bound on the producer. Called
+  /// after prepare and after every restore (restores flush traces).
   void apply_analysis();
 
   Scenario scenario_;  ///< Copy: forks rebuild the platform from it.
   std::vector<isa::Program> programs_;  ///< One per producer role.
   std::unique_ptr<soc::Soc> soc_;
   std::unique_ptr<soc::VerifiedExecution> exec_;
-  /// Shared with forks — immutable once built.
-  std::shared_ptr<const analysis::ProgramReport> analysis_;
-  std::shared_ptr<const fs::StaticDbcBound> bound_;
+  /// (*analysis_)[i] analyses programs_[i], the program of
+  /// exec_->roles()[i]. Shared with forks — immutable once built.
+  std::shared_ptr<const std::vector<RoleAnalysis>> analysis_;
 };
 
 }  // namespace flexstep::sim

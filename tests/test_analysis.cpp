@@ -400,6 +400,56 @@ TEST(AnalysisClients, BoundedEngineWithAnalysisMatchesStepwise) {
   }
 }
 
+TEST(AnalysisClients, MultiRoleSessionsAnalyseEveryRole) {
+  // Each producer gets its own program's seeds and DBC bound; each checker
+  // gets the seeds of the programs it checks. Bounded with analysis must
+  // still match stepwise without it, for independent pairs and for a shared
+  // checker.
+  const auto base = [](soc::Engine engine, bool analysis) {
+    return sim::Scenario()
+        .workload("swaptions")
+        .iterations(30)
+        .seed(11)
+        .engine(engine)
+        .analysis(analysis);
+  };
+  for (const bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared_checker(3)" : "pairs(3)");
+    sim::Scenario stepwise_s = base(soc::Engine::kStepwise, false);
+    sim::Scenario bounded_s = base(soc::Engine::kQuantumBounded, true);
+    if (shared) {
+      stepwise_s.shared_checker(3);
+      bounded_s.shared_checker(3);
+    } else {
+      stepwise_s.pairs(3);
+      bounded_s.pairs(3);
+    }
+    sim::Session stepwise = stepwise_s.build();
+    sim::Session bounded = bounded_s.build();
+    ASSERT_EQ(stepwise.analysis(), nullptr);
+    const auto& roles = bounded.exec().roles();
+    ASSERT_EQ(roles.size(), 3u);
+    for (std::size_t r = 0; r < roles.size(); ++r) {
+      const sim::RoleAnalysis* analysis = bounded.analysis(r);
+      ASSERT_NE(analysis, nullptr);
+      ASSERT_FALSE(analysis->trace_seeds.empty());
+      EXPECT_EQ(analysis->bound.base, bounded.programs()[r].code_base);
+      EXPECT_TRUE(bounded.soc().unit(roles[r].producer).static_bound_active());
+      // A producer covers at most its own seeds.
+      EXPECT_LE(bounded.soc().core(roles[r].producer).trace_cache()->stats().seeded,
+                analysis->trace_seeds.size());
+      EXPECT_GT(bounded.soc().core(roles[r].producer).trace_cache()->stats().seeded, 0u);
+    }
+    const arch::TraceCache& checker = *bounded.soc().core(roles[0].checkers[0]).trace_cache();
+    EXPECT_EQ(checker.table_count(), shared ? 3u : 1u);
+    if (shared) {
+      // The shared checker got every program's seeds.
+      EXPECT_GT(checker.stats().seeded, 2 * bounded.analysis(0)->trace_seeds.size());
+    }
+    expect_equal_except_occupancy(stepwise.run(), bounded.run());
+  }
+}
+
 TEST(AnalysisClients, ForkAndRestoreReapplySeedsAndBound) {
   sim::Session session = tiny_scenario("swaptions", soc::Engine::kQuantumBounded)
                              .analysis(true)

@@ -3,7 +3,9 @@
 // (slot ring + checkpoint side ring) against a plain item-by-item model.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <deque>
+#include <utility>
 
 #include "flexstep/channel.h"
 
@@ -287,7 +289,7 @@ int payload_bit_distance(const StreamItem& a, const StreamItem& b) {
 }
 
 TEST(ChannelStorage, SideRingTracksCheckpointsThroughWrapAndSpill) {
-  ModelledChannel mc(small_config());  // capacity 8: a 16-slot ring
+  ModelledChannel mc(small_config());  // capacity 8: an 8-slot ring
   Channel& ch = mc.channel();
   Cycle now = 0;
   u64 marker = 1;
@@ -385,6 +387,117 @@ TEST(ChannelStorage, SnapshotRoundTripRebuildsSideRing) {
   copy.save(again);
   EXPECT_EQ(again.checkpoints.size(), snap.checkpoints.size());
   EXPECT_EQ(again.next_seq, snap.next_seq);
+}
+
+TEST(ChannelStorage, RingSizedToTheBackpressureThreshold) {
+  for (const u64 capacity : {u64{8}, u64{6}, u64{2048}}) {
+    FlexStepConfig config = small_config();
+    config.channel_capacity = capacity;
+    Channel ch(0, 1, config);
+    EXPECT_EQ(ch.slot_capacity(), std::bit_ceil(capacity));
+  }
+  // Only a DMA spill past the ring (an open segment while the checker has no
+  // complete one) grows it.
+  Channel ch(0, 1, small_config());
+  ch.push_scp(state_with(1), 1);
+  for (int i = 0; i < 7; ++i) ch.push_mem(MemLogEntry{}, 2);
+  EXPECT_EQ(ch.slot_capacity(), 8u);
+  ch.push_mem(MemLogEntry{}, 3);
+  EXPECT_EQ(ch.max_occupancy(), 9u);
+  EXPECT_EQ(ch.slot_capacity(), 16u);
+}
+
+/// MAL entry number `i` of the window tests.
+MemLogEntry window_entry(u64 i) {
+  return {i % 2 == 0 ? MemEntryKind::kLoadData : MemEntryKind::kStoreAddrData, 8,
+          0x2000 + 8 * i, i * 0x9E3779B97F4A7C15ULL};
+}
+
+TEST(ChannelWindow, BackWindowPublishesWhatPushesWould) {
+  // Windowed publish and stepwise push_mem build identical queues, also when
+  // the window stops at the ring wrap.
+  Channel windowed(0, 1, small_config());
+  Channel pushed(0, 1, small_config());
+  for (Channel* ch : {&windowed, &pushed}) {
+    ch->push_scp(state_with(1), 1);
+    for (u64 i = 0; i < 5; ++i) ch->push_mem(window_entry(i), 2);
+    for (int i = 0; i < 5; ++i) ch->pop(3);  // head at 5: the back at 6
+  }
+  u64 next = 5;
+  Cycle now = 10;
+  // 2 slots to the wrap, all used; then 5 to the head, one left unused.
+  for (const auto [want, used] : {std::pair<std::size_t, std::size_t>{2, 2}, {5, 4}}) {
+    const std::span<Slot> window = windowed.open_back_window(100);
+    ASSERT_EQ(window.size(), want);
+    for (std::size_t i = 0; i < used; ++i, ++next, ++now) {
+      const MemLogEntry e = window_entry(next);
+      window[i] = Slot{static_cast<u8>(e.kind), e.bytes, e.addr, e.data, now};
+      pushed.push_mem(e, now);
+    }
+    windowed.publish_back_window(used);
+  }
+  ASSERT_EQ(windowed.size(), pushed.size());
+  EXPECT_EQ(windowed.pushed(), pushed.pushed());
+  EXPECT_EQ(windowed.max_occupancy(), pushed.max_occupancy());
+  for (std::size_t i = 0; i < pushed.size(); ++i) {
+    ModelledChannel::expect_same(windowed.item(i), pushed.item(i));
+  }
+}
+
+TEST(ChannelWindow, FrontWindowStopsAtTheWrap) {
+  Channel ch(0, 1, small_config());
+  for (u64 i = 0; i < 6; ++i) ch.push_mem(window_entry(i), i);
+  for (int i = 0; i < 6; ++i) ch.pop(10);
+  for (u64 i = 6; i < 12; ++i) ch.push_mem(window_entry(i), i);  // slots 6,7,0..3
+  std::span<Slot> window = ch.open_front_window(100);
+  ASSERT_EQ(window.size(), 2u);
+  EXPECT_EQ(window[0].addr, window_entry(6).addr);
+  EXPECT_EQ(window[1].data, window_entry(7).data);
+  ch.consume_front(2, 20);
+  EXPECT_EQ(ch.last_popped_seq(), 7u);
+  EXPECT_EQ(ch.last_pop_cycle(), 20u);
+  window = ch.open_front_window(3);
+  ASSERT_EQ(window.size(), 3u);
+  EXPECT_EQ(window[0].addr, window_entry(8).addr);
+  ch.consume_front(0, 21);  // closes the window, retires nothing
+  EXPECT_EQ(ch.size(), 4u);
+  EXPECT_EQ(ch.last_pop_cycle(), 20u);
+}
+
+TEST(ChannelWindow, NothingTouchesTheChannelWhileAWindowIsOpen) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "FLEX_DCHECK compiles out in release builds";
+#else
+  // The ring's buffer is fully allocated, so an overwrite under an open
+  // window is invisible to ASan: the channel itself must refuse.
+  const auto with_back_window = [](auto&& action) {
+    Channel ch(0, 1, small_config());
+    ch.push_scp(state_with(1), 1);
+    (void)ch.open_back_window(4);
+    action(ch);
+  };
+  const auto with_front_window = [](auto&& action) {
+    Channel ch(0, 1, small_config());
+    for (u64 i = 0; i < 4; ++i) ch.push_mem(window_entry(i), 1);
+    (void)ch.open_front_window(4);
+    action(ch);
+  };
+  EXPECT_DEATH(with_back_window([](Channel& ch) { ch.push_mem(window_entry(0), 2); }),
+               "window_open_");
+  EXPECT_DEATH(with_back_window([](Channel& ch) { ch.push_scp(state_with(2), 2); }),
+               "window_open_");
+  EXPECT_DEATH(with_back_window([](Channel& ch) { ch.pop(2); }), "window_open_");
+  EXPECT_DEATH(with_front_window([](Channel& ch) { ch.pop(2); }), "window_open_");
+  EXPECT_DEATH(with_front_window([](Channel& ch) {
+                 ch.push_segment_end(state_with(2), 1, 2);
+               }),
+               "window_open_");
+  EXPECT_DEATH(with_front_window([](Channel& ch) {
+                 const Slot run[1] = {};
+                 ch.push_mem_run(run, 1);
+               }),
+               "window_open_");
+#endif
 }
 
 }  // namespace

@@ -1,15 +1,70 @@
-// Unit tests for the common utilities (RNG, statistics, histogram, table).
+// Unit tests for the common utilities (RNG, statistics, histogram, table,
+// ring buffer).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/histogram.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 
 namespace flexstep {
 namespace {
+
+/// Every element of `ring`, oldest first.
+std::vector<int> contents(const Ring<int>& ring) {
+  std::vector<int> out(ring.size());
+  ring.copy_out(0, ring.size(), out.data());
+  return out;
+}
+
+TEST(Ring, ReserveCommitAcrossTheWrap) {
+  Ring<int> ring(8);
+  for (int i = 0; i < 6; ++i) ring.push_back(i);
+  ring.pop_front(5);  // head at 5, one element queued: the back is at 6
+  // The free run stops at the buffer end: 2 slots, not the 7 that are free.
+  std::span<int> run = ring.reserve(100);
+  ASSERT_EQ(run.size(), 2u);
+  run[0] = 6;
+  run[1] = 7;
+  ring.commit(2);
+  // The next run starts at the buffer front and stops at the head.
+  run = ring.reserve(100);
+  ASSERT_EQ(run.size(), 5u);
+  for (int i = 0; i < 3; ++i) run[i] = 8 + i;
+  ring.commit(3);  // a prefix: the rest stays free
+  EXPECT_EQ(contents(ring), (std::vector<int>{5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(ring.capacity(), 8u);
+  // front_run also stops at the wrap, and at the back.
+  EXPECT_EQ(ring.front_run(100).size(), 3u);
+  EXPECT_EQ(ring.front_run(2).size(), 2u);
+  EXPECT_EQ(ring.front_run(100)[0], 5);
+  ring.pop_front(3);
+  ASSERT_EQ(ring.front_run(100).size(), 3u);
+  EXPECT_EQ(ring.front_run(100)[2], 10);
+}
+
+TEST(Ring, ReserveGrowsOnlyAFullRing) {
+  Ring<int> ring(4);
+  for (int i = 0; i < 3; ++i) ring.push_back(i);
+  ring.pop_front(2);
+  for (int i = 3; i < 6; ++i) ring.push_back(i);  // full, and wrapped
+  ASSERT_EQ(ring.size(), 4u);
+  ASSERT_EQ(ring.capacity(), 4u);
+  std::span<int> run = ring.reserve(3);
+  EXPECT_EQ(ring.capacity(), 8u);  // grown before the run was handed out
+  ASSERT_EQ(run.size(), 3u);
+  for (int i = 0; i < 3; ++i) run[i] = 6 + i;
+  ring.commit(3);
+  EXPECT_EQ(contents(ring), (std::vector<int>{2, 3, 4, 5, 6, 7, 8}));
+  // Not full: a reserve hands out what is free without growing.
+  EXPECT_EQ(ring.reserve(100).size(), 1u);
+  ring.commit(0);
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(ring.reserve(0).size(), 0u);
+}
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(42);

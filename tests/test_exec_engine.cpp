@@ -276,6 +276,58 @@ TEST(ExecEngineBounded, TinyChannelBackpressureIdentical) {
   expect_equal_relaxed(stepwise, bounded);
 }
 
+TEST(ExecEngineBounded, ZeroCopyWindowsAcrossFrequentWrapsIdentical) {
+  // A 40-entry channel has a 64-slot ring, so the checker's replay windows
+  // and the producer's publish windows keep starting near the ring end and
+  // stopping at the wrap; the next span must resume exactly where stepwise
+  // replay would be.
+  const auto program = tiny_workload("swaptions", 20);
+  SocConfig soc_config = SocConfig::paper_default(3);
+  soc_config.flexstep.channel_capacity = 40;
+  for (const std::vector<CoreId>& checkers :
+       {std::vector<CoreId>{1}, std::vector<CoreId>{1, 2}}) {
+    SCOPED_TRACE(checkers.size());
+    const u32 cores = static_cast<u32>(checkers.size()) + 1;
+    const auto stepwise =
+        run_engine(program, cores, checkers, Engine::kStepwise, soc_config);
+    const auto bounded =
+        run_engine(program, cores, checkers, Engine::kQuantumBounded, soc_config);
+    ASSERT_GT(stepwise.stats.mem_entries, 40u * 64u);  // the ring wrapped often
+    expect_equal_relaxed(stepwise, bounded);
+  }
+}
+
+TEST(ExecEngineBounded, TriplePublishesIdenticalRunsToBothChannels) {
+  // The producer's records go into the first channel's ring in place and are
+  // copied into the second: both checkers must see the same stream.
+  sim::Session session =
+      sim::Scenario().workload("swaptions").iterations(40).triple().build();
+  auto channels = session.soc().fabric().channels();
+  for (int step = 0; step < 6 && !session.finished(); ++step) {
+    session.advance(20'000);
+    channels = session.soc().fabric().channels();
+    if (channels.size() < 2) continue;
+    const fs::Channel& a = *channels[0];
+    const fs::Channel& b = *channels[1];
+    ASSERT_EQ(a.pushed(), b.pushed());
+    // Compare the items both channels still hold, by sequence number.
+    const u64 first = std::max(a.pushed() - a.size(), b.pushed() - b.size());
+    for (u64 seq = first; seq < a.pushed(); ++seq) {
+      const fs::StreamItem x = a.item(seq - (a.pushed() - a.size()));
+      const fs::StreamItem y = b.item(seq - (b.pushed() - b.size()));
+      ASSERT_EQ(x.seq, y.seq);
+      EXPECT_EQ(x.kind, y.kind);
+      EXPECT_EQ(x.visible_at, y.visible_at);
+      EXPECT_EQ(x.mem.kind, y.mem.kind);
+      EXPECT_EQ(x.mem.addr, y.mem.addr);
+      EXPECT_EQ(x.mem.data, y.mem.data);
+      EXPECT_EQ(x.state, y.state);
+    }
+  }
+  ASSERT_EQ(channels.size(), 2u);
+  EXPECT_GT(channels[0]->pushed(), 1000u);
+}
+
 TEST(ExecEngineBounded, RelaxedBurstsEngageAndSkewStaysBounded) {
   // Without this, every proof above would be vacuous: a bounded engine that
   // always fell back to the strict bound would trivially match stepwise.
@@ -503,6 +555,132 @@ TEST(ExecEngine, StoreToTracedCodePageFlushesAndStaysIdentical) {
   ASSERT_NE(traces, nullptr);
   EXPECT_GT(traces->stats().recorded, 0u);
   EXPECT_GT(traces->stats().code_write_flushes, 0u);
+}
+
+/// A hot ALU loop at `base` (300 iterations, then HALT).
+isa::Program hot_loop_at(Addr base, const char* name) {
+  isa::Assembler a(base);
+  a.li(5, 300);
+  auto loop = a.new_label();
+  a.bind(loop);
+  for (int i = 0; i < 12; ++i) a.addi(6, 6, 1);
+  a.addi(5, 5, -1);
+  a.bne(5, 0, loop);
+  a.halt();
+  return a.finalize(name);
+}
+
+/// Run `core` from `program`'s entry to its HALT (which leaves the core in
+/// kernel mode).
+void run_image(Core& core, const isa::Program& program) {
+  core.set_pc(program.entry());
+  core.set_user_mode(true);
+  core.activate();
+  core.run(~u64{0});
+  ASSERT_EQ(core.status(), Core::Status::kHalted);
+}
+
+TEST(TraceTables, ImagesWithCongruentPcsKeepTheirTraces) {
+  // 16 KiB apart: every pc of one image shares its low 14 bits with a pc of
+  // the other, so a 4096-entry pc-indexed table would make them evict each
+  // other. Per-image tables keep both: re-running either records nothing.
+  const isa::Program a = hot_loop_at(isa::kDefaultCodeBase, "a");
+  const isa::Program b = hot_loop_at(isa::kDefaultCodeBase + 16 * 1024, "b");
+  Soc soc(SocConfig::paper_default(1));
+  soc.load_program(a);
+  soc.load_program(b);
+  Core& core = soc.core(0);
+  const arch::TraceCache& traces = *core.trace_cache();
+  run_image(core, a);
+  const u64 recorded_a = traces.stats().recorded;
+  ASSERT_GT(recorded_a, 0u);
+  run_image(core, b);
+  const u64 recorded_ab = traces.stats().recorded;
+  EXPECT_EQ(recorded_ab, 2 * recorded_a);
+  const u64 dispatches = traces.stats().dispatches;
+  run_image(core, a);
+  run_image(core, b);
+  EXPECT_EQ(traces.stats().recorded, recorded_ab);
+  EXPECT_GT(traces.stats().dispatches, dispatches);
+  EXPECT_EQ(traces.table_count(), 2u);
+  EXPECT_EQ(traces.table_bytes(),
+            (a.code.size() + b.code.size()) * arch::TraceCache::kEntryBytes);
+}
+
+TEST(TraceTables, CodePageStoreDropsOnlyTheWrittenImagesTraces) {
+  const isa::Program a = hot_loop_at(isa::kDefaultCodeBase, "a");
+  const isa::Program b = hot_loop_at(isa::kDefaultCodeBase + 16 * 1024, "b");
+  Soc soc(SocConfig::paper_default(1));
+  soc.load_program(a);
+  soc.load_program(b);
+  Core& core = soc.core(0);
+  const arch::TraceCache& traces = *core.trace_cache();
+  run_image(core, a);
+  const u64 per_image = traces.stats().recorded;
+  run_image(core, b);
+  // A store into a's code page (the decoded image, and so what executes,
+  // stays as it was): b's traces survive it, a's are re-recorded.
+  soc.memory().write_u32(a.code_base, 0);
+  run_image(core, b);
+  EXPECT_EQ(traces.stats().code_write_flushes, per_image);
+  EXPECT_EQ(traces.stats().recorded, 2 * per_image);
+  run_image(core, a);
+  EXPECT_EQ(traces.stats().recorded, 3 * per_image);
+}
+
+TEST(TraceTables, RestoreClearsEveryTable) {
+  const isa::Program a = hot_loop_at(isa::kDefaultCodeBase, "a");
+  const isa::Program b = hot_loop_at(isa::kDefaultCodeBase + 16 * 1024, "b");
+  Soc soc(SocConfig::paper_default(1));
+  soc.load_program(a);
+  soc.load_program(b);
+  Core& core = soc.core(0);
+  Core::Snapshot start;
+  core.save(start);
+  run_image(core, a);
+  run_image(core, b);
+  ASSERT_EQ(core.trace_cache()->table_count(), 2u);
+  core.restore(start);
+  EXPECT_EQ(core.trace_cache()->table_count(), 0u);
+  EXPECT_EQ(core.trace_cache()->table_bytes(), 0u);
+  // Derived state only: the next run records the same traces again.
+  const u64 recorded = core.trace_cache()->stats().recorded;
+  run_image(core, a);
+  EXPECT_EQ(core.trace_cache()->stats().recorded, recorded + recorded / 2);
+}
+
+TEST(TraceTables, PerCoreStateIsSizedToWhatEachCoreRuns) {
+  // Trace tables: kEntryBytes per instruction of the images a core entered
+  // (a shared checker enters every producer's image). DBC rings:
+  // bit_ceil(channel_capacity) slots unless a spill ever went past that.
+  sim::Session session = sim::Scenario()
+                             .workload("swaptions")
+                             .iterations(20)
+                             .shared_checker(3)
+                             .channel_capacity(1000)
+                             .build();
+  session.run();
+  ASSERT_TRUE(session.finished());
+  std::size_t all_images = 0;
+  for (CoreId producer = 0; producer < 3; ++producer) {
+    const std::size_t insts = session.programs()[producer].code.size();
+    all_images += insts;
+    const arch::TraceCache& traces = *session.soc().core(producer).trace_cache();
+    EXPECT_EQ(traces.table_count(), 1u);
+    EXPECT_EQ(traces.table_bytes(), insts * arch::TraceCache::kEntryBytes);
+  }
+  const arch::TraceCache& checker = *session.soc().core(3).trace_cache();
+  EXPECT_EQ(checker.table_count(), 3u);
+  EXPECT_EQ(checker.table_bytes(), all_images * arch::TraceCache::kEntryBytes);
+  const auto channels = session.soc().fabric().channels();
+  ASSERT_EQ(channels.size(), 3u);
+  for (const fs::Channel* channel : channels) {
+    if (channel->max_occupancy() <= 1024) {
+      EXPECT_EQ(channel->slot_capacity(), 1024u);
+    } else {
+      EXPECT_GE(channel->slot_capacity(), channel->max_occupancy());
+    }
+  }
 }
 
 TEST(ExecEngine, SnapshotRestoreMidHotRegionBitIdentical) {
